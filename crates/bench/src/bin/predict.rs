@@ -25,7 +25,7 @@
 //! scripts wrapping this binary get machine-checkable failures instead
 //! of panic backtraces.
 
-use napel_bench::Options;
+use napel_bench::{exit_with_error, Options};
 use napel_core::experiments::fig4::sample_arch_configs;
 use napel_core::features::combined_features;
 use napel_core::model::TrainedNapel;
@@ -133,8 +133,7 @@ fn main() {
     let opts = Options::from_env();
     opts.init_telemetry();
     if let Err(message) = run(&opts) {
-        eprintln!("predict: {message}");
-        std::process::exit(1);
+        exit_with_error("predict", &message);
     }
     opts.finish_telemetry();
 }

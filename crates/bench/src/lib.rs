@@ -38,8 +38,11 @@
 //!   the time/energy/EDP columns (default 1,000,000).
 //!
 //! Run them as `cargo run --release -p napel-bench --bin fig5 -- --quick`.
+//! A bad flag or value exits with status 1 and one `<bin>: <message>`
+//! line on stderr.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::str::FromStr;
 
 pub mod obs;
 
@@ -81,10 +84,11 @@ pub struct Options {
     pub model_out: Option<String>,
     /// Artifact load directory or bundle file (`--model-in`).
     pub model_in: Option<String>,
-    /// Comma-separated workload subset (`--apps`); `None` means all.
-    pub apps: Option<String>,
-    /// Comma-separated accuracy-vs-budget budgets (`--budgets`).
-    pub budgets: Option<String>,
+    /// Workload subset (`--apps`); `None` means all.
+    pub apps: Option<Vec<Workload>>,
+    /// Accuracy-vs-budget budgets (`--budgets`); `None` means the
+    /// caller's default.
+    pub budgets: Option<Vec<usize>>,
     /// Raw feature-row input file for the `predict` binary (`--input`).
     pub input: Option<String>,
     /// Workload name for the `predict` binary (`--workload`).
@@ -121,99 +125,69 @@ impl Default for Options {
 impl Options {
     /// Parses options from an argument iterator (binary name excluded).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics with a usage message on unknown flags or malformed values —
-    /// appropriate for a CLI entry point.
-    pub fn parse(args: impl Iterator<Item = String>) -> Options {
+    /// A one-line usage message naming the unknown flag, the flag missing
+    /// its value, or the malformed value.
+    pub fn parse(mut args: impl Iterator<Item = String>) -> Result<Options, String> {
         let mut opts = Options::default();
-        let mut args = args.peekable();
         while let Some(arg) = args.next() {
+            let mut value = |what: &str| args.next().ok_or_else(|| format!("{arg} needs {what}"));
             match arg.as_str() {
                 "--scale" => {
-                    let v = args.next().expect("--scale needs a value");
-                    opts.scale = match v.as_str() {
+                    opts.scale = match value("a value (laptop|tiny|unit)")?.as_str() {
                         "laptop" => Scale::laptop(),
                         "tiny" => Scale::tiny(),
                         "unit" => Scale::unit(),
-                        other => panic!("unknown scale `{other}` (laptop|tiny|unit)"),
+                        other => return Err(format!("unknown scale `{other}` (laptop|tiny|unit)")),
                     };
                 }
                 "--quick" => opts.quick = true,
-                "--seed" => {
-                    opts.seed = args
-                        .next()
-                        .expect("--seed needs a value")
-                        .parse()
-                        .expect("--seed must be an integer");
-                }
-                "--configs" => {
-                    opts.configs = args
-                        .next()
-                        .expect("--configs needs a value")
-                        .parse()
-                        .expect("--configs must be an integer");
-                }
-                "--jobs" => {
-                    opts.jobs = Some(args.next().expect("--jobs needs a value (N or `auto`)"));
-                }
-                "--checkpoint" => {
-                    opts.checkpoint = Some(args.next().expect("--checkpoint needs a path"));
-                }
+                "--seed" => opts.seed = integer(&arg, &value("a value")?)?,
+                "--configs" => opts.configs = integer(&arg, &value("a value")?)?,
+                "--jobs" => opts.jobs = Some(value("a value (N or `auto`)")?),
+                "--checkpoint" => opts.checkpoint = Some(value("a path")?),
                 "--fail-policy" => {
-                    let v = args
-                        .next()
-                        .expect("--fail-policy needs a value (fast|quarantine)");
-                    opts.fail_policy =
-                        Some(FaultPolicy::parse_spec(&v).unwrap_or_else(|e| panic!("{e}")));
+                    let spec = value("a value (fast|quarantine)")?;
+                    opts.fail_policy = Some(FaultPolicy::parse_spec(&spec)?);
                 }
-                "--retries" => {
-                    opts.retries = Some(
-                        args.next()
-                            .expect("--retries needs a value")
-                            .parse()
-                            .expect("--retries must be an integer"),
-                    );
-                }
-                "--telemetry-out" => {
-                    opts.telemetry_out = Some(args.next().expect("--telemetry-out needs a path"));
-                }
+                "--retries" => opts.retries = Some(integer(&arg, &value("a value")?)?),
+                "--telemetry-out" => opts.telemetry_out = Some(value("a path")?),
                 "--quiet" => opts.quiet = true,
-                "--model-out" => {
-                    opts.model_out = Some(args.next().expect("--model-out needs a directory"));
-                }
-                "--model-in" => {
-                    opts.model_in = Some(args.next().expect("--model-in needs a path"));
-                }
+                "--model-out" => opts.model_out = Some(value("a directory")?),
+                "--model-in" => opts.model_in = Some(value("a path")?),
                 "--apps" => {
-                    opts.apps = Some(args.next().expect("--apps needs a comma-separated list"));
+                    let list = value("a comma-separated list")?;
+                    opts.apps = Some(list.split(',').map(workload).collect::<Result<_, _>>()?);
                 }
                 "--budgets" => {
-                    opts.budgets =
-                        Some(args.next().expect("--budgets needs a comma-separated list"));
+                    let list = value("a comma-separated list")?;
+                    opts.budgets = Some(
+                        list.split(',')
+                            .map(|n| integer(&arg, n.trim()))
+                            .collect::<Result<_, _>>()?,
+                    );
                 }
-                "--input" => {
-                    opts.input = Some(args.next().expect("--input needs a path"));
-                }
-                "--workload" => {
-                    opts.workload = Some(args.next().expect("--workload needs a name"));
-                }
-                "--instructions" => {
-                    opts.instructions = args
-                        .next()
-                        .expect("--instructions needs a value")
-                        .parse()
-                        .expect("--instructions must be an integer");
-                }
-                other => panic!("unknown flag `{other}`"),
+                "--input" => opts.input = Some(value("a path")?),
+                "--workload" => opts.workload = Some(value("a name")?),
+                "--instructions" => opts.instructions = integer(&arg, &value("a value")?)?,
+                other => return Err(format!("unknown flag `{other}`")),
             }
         }
-        opts
+        Ok(opts)
     }
 
-    /// Parses from the process arguments.
+    /// Parses from the process arguments. On a bad flag or value, prints
+    /// one `<bin>: <message>` line on stderr and exits with status 1.
     pub fn from_env() -> Options {
-        Self::parse(std::env::args().skip(1))
+        let mut args = std::env::args();
+        let bin = args
+            .next()
+            .as_deref()
+            .and_then(|arg0| Path::new(arg0).file_stem())
+            .map(|stem| stem.to_string_lossy().into_owned())
+            .unwrap_or_else(|| "napel".to_string());
+        Self::parse(args).unwrap_or_else(|message| exit_with_error(&bin, &message))
     }
 
     /// The campaign executor implied by the options: `--jobs` wins,
@@ -278,7 +252,7 @@ impl Options {
         match std::fs::write(&path, report.to_jsonl()) {
             Ok(()) => napel_telemetry::info!(
                 "telemetry: wrote {} events to {}",
-                report.spans.len() + report.counters.len() + report.histograms.len(),
+                report.spans.len() + report.counters.len() + report.log_histograms.len(),
                 path.display()
             ),
             Err(e) => napel_telemetry::warn!(
@@ -306,42 +280,14 @@ impl Options {
     }
 
     /// The workload subset implied by `--apps` (all 12 when absent).
-    ///
-    /// # Panics
-    ///
-    /// Panics with a usage message on an unknown application name.
     pub fn workloads(&self) -> Vec<Workload> {
-        let Some(list) = &self.apps else {
-            return Workload::ALL.to_vec();
-        };
-        list.split(',')
-            .map(|name| {
-                let name = name.trim();
-                Workload::ALL
-                    .into_iter()
-                    .find(|w| w.name() == name)
-                    .unwrap_or_else(|| panic!("unknown application `{name}` in --apps"))
-            })
-            .collect()
+        self.apps.clone().unwrap_or_else(|| Workload::ALL.to_vec())
     }
 
     /// The accuracy-vs-budget budgets implied by `--budgets`, falling back
     /// to `default` when the flag is absent.
-    ///
-    /// # Panics
-    ///
-    /// Panics with a usage message on a malformed list.
     pub fn budget_list(&self, default: &[usize]) -> Vec<usize> {
-        let Some(list) = &self.budgets else {
-            return default.to_vec();
-        };
-        list.split(',')
-            .map(|n| {
-                n.trim()
-                    .parse()
-                    .unwrap_or_else(|_| panic!("--budgets entry `{n}` is not an integer"))
-            })
-            .collect()
+        self.budgets.clone().unwrap_or_else(|| default.to_vec())
     }
 
     /// The NAPEL training configuration implied by the options.
@@ -358,6 +304,28 @@ impl Options {
             }
         }
     }
+}
+
+/// Prints `<bin>: <message>` as the one diagnostic line on stderr and
+/// exits with status 1 — the failure contract of every binary here.
+pub fn exit_with_error(bin: &str, message: &str) -> ! {
+    eprintln!("{bin}: {message}");
+    std::process::exit(1)
+}
+
+/// Parses `raw` as the integer value of `flag`.
+fn integer<T: FromStr>(flag: &str, raw: &str) -> Result<T, String> {
+    raw.parse()
+        .map_err(|_| format!("{flag} must be an integer, got `{raw}`"))
+}
+
+/// Looks up one `--apps` entry by its Table 2 name.
+fn workload(name: &str) -> Result<Workload, String> {
+    let name = name.trim();
+    Workload::ALL
+        .into_iter()
+        .find(|w| w.name() == name)
+        .ok_or_else(|| format!("unknown application `{name}` in --apps"))
 }
 
 /// Surfaces a campaign's fault-tolerance activity on stderr — restored
@@ -384,6 +352,10 @@ mod tests {
     use super::*;
 
     fn parse(args: &[&str]) -> Options {
+        try_parse(args).expect("valid flags")
+    }
+
+    fn try_parse(args: &[&str]) -> Result<Options, String> {
         Options::parse(args.iter().map(|s| s.to_string()))
     }
 
@@ -418,9 +390,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "unknown flag")]
-    fn unknown_flag_panics() {
-        let _ = parse(&["--frobnicate"]);
+    fn unknown_flag_is_an_error() {
+        let err = try_parse(&["--frobnicate"]).unwrap_err();
+        assert!(err.contains("unknown flag `--frobnicate`"), "{err}");
+        let err = try_parse(&["--seed", "abc"]).unwrap_err();
+        assert!(err.contains("--seed must be an integer"), "{err}");
+        let err = try_parse(&["--configs"]).unwrap_err();
+        assert!(err.contains("--configs needs a value"), "{err}");
     }
 
     #[test]
@@ -443,9 +419,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "fault policy")]
-    fn bad_fail_policy_panics() {
-        let _ = parse(&["--fail-policy", "maybe"]);
+    fn bad_fail_policy_is_an_error() {
+        let err = try_parse(&["--fail-policy", "maybe"]).unwrap_err();
+        assert!(err.contains("fault policy"), "{err}");
     }
 
     #[test]
@@ -489,9 +465,14 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "unknown application")]
-    fn unknown_app_panics() {
-        let _ = parse(&["--apps", "frob"]).workloads();
+    fn bad_apps_and_budgets_are_errors() {
+        let err = try_parse(&["--apps", "atax,frob"]).unwrap_err();
+        assert!(err.contains("unknown application `frob`"), "{err}");
+        let err = try_parse(&["--budgets", "5,x"]).unwrap_err();
+        assert!(
+            err.contains("--budgets must be an integer, got `x`"),
+            "{err}"
+        );
     }
 
     #[test]

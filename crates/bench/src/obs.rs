@@ -27,6 +27,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
+use napel_telemetry::json::write_string;
 use napel_telemetry::{SpanEvent, TelemetryReport};
 
 /// Deepest nesting level the placer distinguishes; spans reporting a
@@ -104,19 +105,6 @@ pub fn place_spans(report: &TelemetryReport) -> Vec<PlacedSpan> {
     placed
 }
 
-fn json_escape(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
-
 /// A human track label for a lane.
 fn lane_label(lane: u64) -> String {
     if lane >= SERVE_TRACE_LANE_BASE {
@@ -143,21 +131,21 @@ pub fn chrome_trace(placed: &[PlacedSpan]) -> String {
         let _ = write!(
             out,
             "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{lane},\
-             \"args\":{{\"name\":\""
+             \"args\":{{\"name\":"
         );
-        json_escape(&mut out, &lane_label(lane));
-        out.push_str("\"}}");
+        write_string(&mut out, &lane_label(lane));
+        out.push_str("}}");
     }
     for p in placed {
         if !first {
             out.push(',');
         }
         first = false;
-        out.push_str("{\"name\":\"");
-        json_escape(&mut out, &p.name);
+        out.push_str("{\"name\":");
+        write_string(&mut out, &p.name);
         let _ = write!(
             out,
-            "\",\"cat\":\"span\",\"ph\":\"X\",\"pid\":1,\"tid\":{},\
+            ",\"cat\":\"span\",\"ph\":\"X\",\"pid\":1,\"tid\":{},\
              \"ts\":{:.3},\"dur\":{:.3},\"args\":{{",
             p.lane, p.ts_us, p.dur_us
         );
@@ -165,11 +153,9 @@ pub fn chrome_trace(placed: &[PlacedSpan]) -> String {
             if i > 0 {
                 out.push(',');
             }
-            out.push('"');
-            json_escape(&mut out, k);
-            out.push_str("\":\"");
-            json_escape(&mut out, v);
-            out.push('"');
+            write_string(&mut out, k);
+            out.push(':');
+            write_string(&mut out, v);
         }
         out.push_str("}}");
     }
@@ -256,7 +242,6 @@ mod tests {
         TelemetryReport {
             spans,
             counters: Vec::new(),
-            histograms: Vec::new(),
             log_histograms: Vec::new(),
         }
     }
@@ -345,8 +330,13 @@ mod tests {
     fn attrs_are_escaped_into_args() {
         let mut s = span("q", 0, 0, 0, 0.001);
         s.attrs.push(("key".to_string(), "va\"lue".to_string()));
+        s.attrs
+            .push(("path".to_string(), "a\\b\u{1}c\td".to_string()));
         let text = chrome_trace(&place_spans(&report(vec![s])));
-        assert!(text.contains("\"args\":{\"key\":\"va\\\"lue\"}"));
+        assert!(
+            text.contains(r#""args":{"key":"va\"lue","path":"a\\b\u0001c\td"}"#),
+            "{text}"
+        );
     }
 
     #[test]

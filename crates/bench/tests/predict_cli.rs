@@ -1,7 +1,7 @@
-//! End-to-end tests for the `predict` binary's error contract: every
-//! operational failure exits with status 1 and one `predict: ...` line
-//! on stderr — no panics, no backtraces — and the happy path still
-//! prints a prediction table.
+//! End-to-end tests for the binaries' error contract: every operational
+//! failure exits with status 1 and one `<bin>: ...` line on stderr — no
+//! panics, no backtraces — and `predict`'s happy path still prints a
+//! prediction table.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -51,12 +51,17 @@ fn predict(args: &[&str]) -> Output {
 /// Asserts the failure contract: exit 1, and stderr is exactly one
 /// `predict: ...` diagnostic line containing `needle`.
 fn assert_one_line_failure(output: &Output, needle: &str) {
+    assert_bin_failure(output, "predict", needle);
+}
+
+/// [`assert_one_line_failure`] for any binary: the line starts `bin: `.
+fn assert_bin_failure(output: &Output, bin: &str, needle: &str) {
     assert_eq!(output.status.code(), Some(1), "expected exit 1: {output:?}");
     let stderr = String::from_utf8_lossy(&output.stderr);
     let diagnostics: Vec<&str> = stderr.lines().collect();
     assert_eq!(diagnostics.len(), 1, "one diagnostic line, got:\n{stderr}");
     assert!(
-        diagnostics[0].starts_with("predict: "),
+        diagnostics[0].starts_with(&format!("{bin}: ")),
         "diagnostic must be prefixed: {stderr}"
     );
     assert!(
@@ -73,6 +78,44 @@ fn assert_one_line_failure(output: &Output, needle: &str) {
 fn missing_model_flag_is_a_one_line_failure() {
     let output = predict(&[]);
     assert_one_line_failure(&output, "--model-in");
+}
+
+#[test]
+fn bad_flags_and_input_are_one_line_failures_in_every_driver() {
+    let dir = scratch_dir("drivers");
+    let not_jsonl = dir.join("not.jsonl");
+    std::fs::write(&not_jsonl, "this is not telemetry\n").unwrap();
+    let cases: [(&str, &str, &[&str], &str); 4] = [
+        (
+            "predict",
+            env!("CARGO_BIN_EXE_predict"),
+            &["--seed", "abc"],
+            "--seed must be an integer, got `abc`",
+        ),
+        (
+            "fig4",
+            env!("CARGO_BIN_EXE_fig4"),
+            &["--frobnicate"],
+            "unknown flag `--frobnicate`",
+        ),
+        (
+            "ablation",
+            env!("CARGO_BIN_EXE_ablation"),
+            &["--apps", "frob"],
+            "unknown application `frob`",
+        ),
+        (
+            "obs",
+            env!("CARGO_BIN_EXE_obs"),
+            &["--in", not_jsonl.to_str().unwrap()],
+            "is not a telemetry JSONL stream",
+        ),
+    ];
+    for (bin, exe, args, needle) in cases {
+        let output = Command::new(exe).args(args).output().expect("spawn");
+        assert_bin_failure(&output, bin, needle);
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

@@ -8,6 +8,7 @@
 //! averaging provide that screening. Out-of-bag error and permutation
 //! importance are included for the feature-screening ablation.
 
+use napel_telemetry::LogHistogram;
 use rand::Rng;
 use rand::RngCore;
 
@@ -25,12 +26,6 @@ pub struct RandomForestParams {
     /// Whether each tree trains on a bootstrap resample (vs the full set).
     pub bootstrap: bool,
 }
-
-/// Bucket bounds (seconds) for the per-tree build-time histogram
-/// `ml.forest.tree_build_seconds`. Decade-spaced from 10 µs to 1 s; trees
-/// on NAPEL-scale datasets land in the middle buckets, so drift in either
-/// direction is visible in the end-of-run summary.
-const TREE_BUILD_BOUNDS: &[f64] = &[1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0];
 
 impl Default for RandomForestParams {
     fn default() -> Self {
@@ -65,8 +60,11 @@ impl Estimator for RandomForestParams {
         let n = data.len();
         let mut trees = Vec::with_capacity(self.num_trees);
         let mut oob: Vec<(f64, u32)> = vec![(0.0, 0); n];
+        // Per-tree build seconds, observed locally and merged once per fit
+        // as `ml.forest.tree_build_seconds`; absent when telemetry is off.
+        let mut build_seconds = telemetry.is_enabled().then(LogHistogram::new);
         for _ in 0..self.num_trees {
-            let tree_start = telemetry.is_enabled().then(std::time::Instant::now);
+            let tree_start = build_seconds.is_some().then(std::time::Instant::now);
             let (sample, in_bag) = if self.bootstrap {
                 let mut in_bag = vec![false; n];
                 let idx: Vec<usize> = (0..n)
@@ -81,12 +79,8 @@ impl Estimator for RandomForestParams {
                 (data.clone(), vec![true; n])
             };
             let tree = self.tree.fit(&sample, rng)?;
-            if let Some(start) = tree_start {
-                telemetry.observe(
-                    "ml.forest.tree_build_seconds",
-                    TREE_BUILD_BOUNDS,
-                    start.elapsed().as_secs_f64(),
-                );
+            if let (Some(h), Some(start)) = (&mut build_seconds, tree_start) {
+                h.observe(start.elapsed().as_secs_f64());
             }
             for (i, bagged) in in_bag.iter().enumerate() {
                 if !bagged {
@@ -95,6 +89,9 @@ impl Estimator for RandomForestParams {
                 }
             }
             trees.push(tree);
+        }
+        if let Some(h) = &build_seconds {
+            telemetry.merge_log_histogram("ml.forest.tree_build_seconds", h);
         }
 
         // Out-of-bag mean squared error over the rows that were ever OOB.

@@ -132,8 +132,7 @@ impl NmcSystem {
     }
 
     /// [`run`](Self::run) on the reference engine (the original global
-    /// min-heap interleave). Exists for differential testing and as the
-    /// `perfbench` baseline.
+    /// min-heap interleave). Exists as the differential-test oracle.
     pub fn run_reference(&self, trace: &MultiTrace) -> SimReport {
         self.run_streams_reference(
             trace

@@ -3,9 +3,8 @@
 //! All PEs interleave through the shared DRAM via one global min-heap on
 //! `(PE local time, PE index)`, stepping a single instruction per pop. The
 //! phase-split engine in [`super`] is defined as bit-exact against this
-//! loop; it stays here as the differential-test oracle and the `perfbench`
-//! baseline, executing one instruction per heap transaction so the cost of
-//! the global interleave is honestly represented.
+//! loop; it stays here as the differential-test oracle, executing one
+//! instruction per heap transaction exactly as the original did.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;

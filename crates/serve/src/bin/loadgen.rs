@@ -31,12 +31,14 @@
 //! percentiles, and throughput; `--out` writes the whole thing as JSON.
 
 use std::collections::{BTreeMap, HashMap};
+use std::fmt::Write as _;
 use std::io::Write as _;
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
 use napel_serve::protocol::{payload_field, predict_payload};
 use napel_serve::{Response, ServeClient};
+use napel_telemetry::json::write_string;
 use napel_telemetry::LogHistogram;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -400,19 +402,21 @@ struct LevelReport {
 
 impl LevelReport {
     fn to_json(&self) -> String {
-        let errors = self
-            .errors
-            .iter()
-            .map(|(k, v)| format!("\"{k}\":{v}"))
-            .collect::<Vec<_>>()
-            .join(",");
-        format!(
-            "{{\"clients\":{},\"sent\":{},\"ok\":{},\"errors\":{{{errors}}},\
-             \"lost\":{},\"aborted\":{},\"unverified_probes\":{},\"p50_us\":{},\
+        let mut s = format!(
+            "{{\"clients\":{},\"sent\":{},\"ok\":{},\"errors\":{{",
+            self.clients, self.sent, self.ok
+        );
+        for (i, (kind, n)) in self.errors.iter().enumerate() {
+            if i > 0 {
+                s.push(',');
+            }
+            write_string(&mut s, kind);
+            let _ = write!(s, ":{n}");
+        }
+        let _ = write!(
+            s,
+            "}},\"lost\":{},\"aborted\":{},\"unverified_probes\":{},\"p50_us\":{},\
              \"p99_us\":{},\"throughput_rps\":{:.1},\"wall_ms\":{}}}",
-            self.clients,
-            self.sent,
-            self.ok,
             self.lost,
             self.aborted,
             self.unverified_probes,
@@ -420,7 +424,8 @@ impl LevelReport {
             self.p99_us,
             self.throughput_rps,
             self.wall_ms,
-        )
+        );
+        s
     }
 
     fn summary(&self) -> String {
@@ -540,15 +545,18 @@ fn main() {
             .map(LevelReport::to_json)
             .collect::<Vec<_>>()
             .join(",");
-        let stats_json = server_stats
-            .as_deref()
-            .map(|s| format!("\"{s}\""))
-            .unwrap_or_else(|| "null".to_string());
-        let json = format!(
-            "{{\"mode\":\"{}\",\"seed\":{},\"requests_per_client\":{},\
-             \"server_stats\":{stats_json},\"runs\":[{runs}]}}\n",
-            args.mode, args.seed, args.requests
+        let mut json = String::from("{\"mode\":");
+        write_string(&mut json, &args.mode);
+        let _ = write!(
+            json,
+            ",\"seed\":{},\"requests_per_client\":{},\"server_stats\":",
+            args.seed, args.requests
         );
+        match &server_stats {
+            Some(stats) => write_string(&mut json, stats),
+            None => json.push_str("null"),
+        }
+        let _ = writeln!(json, ",\"runs\":[{runs}]}}");
         std::fs::write(path, json).unwrap_or_else(|e| panic!("cannot write --out `{path}`: {e}"));
         eprintln!("loadgen: report written to {path}");
     }
@@ -605,6 +613,27 @@ mod tests {
                 "q={q}: estimated {estimated} vs exact {exact} (rel err {rel:.5} > {RELATIVE_ERROR_BOUND})"
             );
         }
+    }
+
+    #[test]
+    fn level_report_json_bytes_are_pinned() {
+        let mut report = LevelReport {
+            clients: 4,
+            sent: 10,
+            ok: 7,
+            aborted: 1,
+            p50_us: 120,
+            p99_us: 900,
+            throughput_rps: 1234.56,
+            wall_ms: 8,
+            ..LevelReport::default()
+        };
+        report.errors.insert("shed".to_string(), 2);
+        report.errors.insert("deadline".to_string(), 1);
+        assert_eq!(
+            report.to_json(),
+            r#"{"clients":4,"sent":10,"ok":7,"errors":{"deadline":1,"shed":2},"lost":0,"aborted":1,"unverified_probes":0,"p50_us":120,"p99_us":900,"throughput_rps":1234.6,"wall_ms":8}"#
+        );
     }
 
     #[test]

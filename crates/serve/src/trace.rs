@@ -9,9 +9,8 @@
 //!
 //! - per-shard, per-stage [`LogHistogram`]s (quantile-accurate stage
 //!   latency, readable live),
-//! - end-to-end latency and batch-size [`LogHistogram`]s (the migrated
-//!   successors of the old fixed-bucket `serve.latency_seconds` /
-//!   `serve.batch_size` histograms),
+//! - end-to-end latency and batch-size [`LogHistogram`]s
+//!   (`serve.latency_seconds`, `serve.batch_size`),
 //! - a bounded ring of full per-request traces, holding every
 //!   non-`ok` outcome plus a deterministic 1-in-N sample of successes
 //!   (`trace_id % sample == 0`). The ring is drainable over the wire
@@ -32,6 +31,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
+use napel_telemetry::json::write_string;
 use napel_telemetry::{LogHistogram, SpanEvent, TelemetryReport};
 
 use crate::protocol::Response;
@@ -150,39 +150,28 @@ pub struct RequestTrace {
     pub stage_nanos: [u64; STAGE_COUNT],
 }
 
-/// Escapes `s` into `out` as a JSON string literal body (no quotes).
-fn json_escape(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
-
 impl RequestTrace {
     /// One trace as a compact JSON object (`stages` keyed by stage name,
     /// zero stages included so every trace has the same shape).
     pub fn to_json(&self) -> String {
         let mut s = String::with_capacity(192);
-        let _ = write!(s, "{{\"trace_id\":{},\"id\":\"", self.trace_id);
-        json_escape(&mut s, &self.request_id);
-        s.push_str("\",\"model\":\"");
-        json_escape(&mut s, &self.model);
+        let _ = write!(s, "{{\"trace_id\":{},\"id\":", self.trace_id);
+        write_string(&mut s, &self.request_id);
+        s.push_str(",\"model\":");
+        write_string(&mut s, &self.model);
+        s.push_str(",\"outcome\":");
+        write_string(&mut s, self.outcome);
         let _ = write!(
             s,
-            "\",\"outcome\":\"{}\",\"shard\":{},\"total_ns\":{},\"stages\":{{",
-            self.outcome, self.shard, self.total_nanos
+            ",\"shard\":{},\"total_ns\":{},\"stages\":{{",
+            self.shard, self.total_nanos
         );
         for (i, stage) in Stage::ALL.iter().enumerate() {
             if i > 0 {
                 s.push(',');
             }
-            let _ = write!(s, "\"{}\":{}", stage.name(), self.stage_nanos[i]);
+            write_string(&mut s, stage.name());
+            let _ = write!(s, ":{}", self.stage_nanos[i]);
         }
         s.push_str("}}");
         s
@@ -376,7 +365,6 @@ impl ObsHub {
         TelemetryReport {
             spans: Vec::new(),
             counters,
-            histograms: Vec::new(),
             log_histograms,
         }
     }
@@ -577,6 +565,23 @@ mod tests {
         assert!(json.ends_with("}]}"));
         // And it stays on one line.
         assert!(!json.contains('\n'));
+    }
+
+    #[test]
+    fn request_trace_json_pins_escaped_bytes() {
+        let trace = RequestTrace {
+            trace_id: 7,
+            request_id: "a\\b\u{1}c\td".to_string(),
+            model: "m".to_string(),
+            outcome: "ok",
+            shard: 0,
+            total_nanos: 5,
+            stage_nanos: [0, 0, 0, 0, 5, 0],
+        };
+        assert_eq!(
+            trace.to_json(),
+            r#"{"trace_id":7,"id":"a\\b\u0001c\td","model":"m","outcome":"ok","shard":0,"total_ns":5,"stages":{"read_parse":0,"admission":0,"queue_wait":0,"batch_assembly":0,"predict":5,"respond_flush":0}}"#
+        );
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Prometheus text exposition.
 //!
-//! Renders counters and both histogram flavors in the [Prometheus text
+//! Renders counters and log-bucketed histograms in the [Prometheus text
 //! format] (version 0.0.4) — the lingua franca every metrics scraper
 //! speaks — without taking a dependency: the format is `# TYPE` comments
 //! plus `name{labels} value` lines, well within hand-rolling range.
@@ -12,16 +12,12 @@
 //! Mapping:
 //!
 //! - counters → `counter` series,
-//! - fixed-bucket [`Histogram`]s → `histogram` series with *cumulative*
-//!   `le`-labeled buckets (the wire format is cumulative even though our
-//!   in-memory counts are per-bucket), a `+Inf` bucket, `_sum` and
-//!   `_count`,
 //! - [`LogHistogram`]s → `summary` series with pre-computed
 //!   `quantile`-labeled estimates (0.5/0.9/0.99) plus `_sum`/`_count` —
 //!   a summary rather than a histogram because ~2600 potential buckets
 //!   per series is scrape bloat, and the whole point of the log-bucketed
 //!   form is that its quantiles are already trustworthy,
-//! - NaN observations (tracked out-of-band by both flavors) → a
+//! - NaN observations (tracked out-of-band by the histogram) → a
 //!   `<name>_nan_observations` counter, emitted only when nonzero.
 //!
 //! [Prometheus text format]: https://prometheus.io/docs/instrumenting/exposition_formats/
@@ -44,7 +40,6 @@
 use std::fmt::Write as _;
 
 use crate::loghist::LogHistogram;
-use crate::metrics::Histogram;
 use crate::report::TelemetryReport;
 
 /// The quantiles a [`LogHistogram`] exposes as a Prometheus summary.
@@ -73,8 +68,8 @@ pub fn sanitize_metric_name(name: &str) -> String {
     out
 }
 
-/// Prometheus renders floats with `Display`-like shortest form; `+Inf`
-/// is the spec spelling for the unbounded bucket.
+/// Prometheus renders floats with `Display`-like shortest form and
+/// spells the non-finite values `NaN`, `+Inf` and `-Inf`.
 fn write_value(out: &mut String, v: f64) {
     if v.is_nan() {
         out.push_str("NaN");
@@ -100,28 +95,6 @@ pub(crate) fn render_counter(out: &mut String, name: &str, value: u64) {
     let _ = writeln!(out, "{name} {value}");
 }
 
-pub(crate) fn render_histogram(out: &mut String, name: &str, h: &Histogram) {
-    let name = sanitize_metric_name(name);
-    let _ = writeln!(out, "# TYPE {name} histogram");
-    let mut cumulative = 0u64;
-    for (i, &count) in h.counts().iter().enumerate() {
-        cumulative += count;
-        out.push_str(&name);
-        out.push_str("_bucket{le=\"");
-        match h.bounds().get(i) {
-            Some(&bound) => write_value(out, bound),
-            None => out.push_str("+Inf"),
-        }
-        let _ = writeln!(out, "\"}} {cumulative}");
-    }
-    out.push_str(&name);
-    out.push_str("_sum ");
-    write_value(out, h.sum());
-    out.push('\n');
-    let _ = writeln!(out, "{name}_count {cumulative}");
-    nan_series(out, &name, h.nan_count());
-}
-
 pub(crate) fn render_log_histogram(out: &mut String, name: &str, h: &LogHistogram) {
     let name = sanitize_metric_name(name);
     let _ = writeln!(out, "# TYPE {name} summary");
@@ -143,14 +116,11 @@ impl TelemetryReport {
     /// Renders every counter and histogram in this report as Prometheus
     /// text exposition (spans have no Prometheus analogue and are
     /// skipped). Series appear in name order within each kind: counters,
-    /// then fixed-bucket histograms, then log-bucketed summaries.
+    /// then log-bucketed summaries.
     pub fn to_prometheus(&self) -> String {
         let mut out = String::new();
         for (name, value) in &self.counters {
             render_counter(&mut out, name, *value);
-        }
-        for (name, h) in &self.histograms {
-            render_histogram(&mut out, name, h);
         }
         for (name, h) in &self.log_histograms {
             render_log_histogram(&mut out, name, h);
@@ -176,35 +146,17 @@ mod tests {
     }
 
     #[test]
-    fn histogram_buckets_render_cumulative_with_inf() {
-        let mut h = Histogram::new(&[0.1, 1.0]);
-        h.observe(0.05);
-        h.observe(0.5);
-        h.observe(0.7);
-        h.observe(50.0);
-        let mut out = String::new();
-        render_histogram(&mut out, "demo.lat", &h);
-        let expect = "# TYPE demo_lat histogram\n\
-                      demo_lat_bucket{le=\"0.1\"} 1\n\
-                      demo_lat_bucket{le=\"1\"} 3\n\
-                      demo_lat_bucket{le=\"+Inf\"} 4\n\
-                      demo_lat_sum 51.25\n\
-                      demo_lat_count 4\n";
-        assert_eq!(out, expect);
-    }
-
-    #[test]
     fn nan_observations_get_their_own_series_only_when_present() {
-        let mut h = Histogram::new(&[1.0]);
+        let mut h = LogHistogram::new();
         h.observe(f64::NAN);
         let mut out = String::new();
-        render_histogram(&mut out, "x", &h);
+        render_log_histogram(&mut out, "x", &h);
         assert!(out.contains("x_nan_observations 1"));
-        assert!(out.contains("x_count 0"), "NaN stays out of _count buckets");
+        assert!(out.contains("x_count 0"), "NaN stays out of _count");
 
-        let clean = Histogram::new(&[1.0]);
+        let clean = LogHistogram::new();
         let mut out = String::new();
-        render_histogram(&mut out, "x", &clean);
+        render_log_histogram(&mut out, "x", &clean);
         assert!(!out.contains("nan_observations"));
     }
 

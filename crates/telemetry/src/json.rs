@@ -2,6 +2,10 @@
 //! JSONL schema, so the crate stays dependency-free. The writer emits
 //! the subset the parser accepts; numbers round-trip through Rust's
 //! shortest-exact `f64` formatting.
+//!
+//! [`write_string`] is public: every JSON string literal the workspace
+//! emits (telemetry JSONL, Chrome traces, serve `trace` payloads, load
+//! reports) goes through it. The parser stays crate-private.
 
 use std::fmt::Write as _;
 
@@ -40,8 +44,16 @@ impl JsonValue {
     }
 }
 
-/// Appends `value` as a JSON string literal (quoted, escaped).
-pub(crate) fn write_string(out: &mut String, value: &str) {
+/// Appends `value` as a JSON string literal: quoted, with `"` and `\`
+/// escaped, `\n`/`\r`/`\t` in their short forms and every other control
+/// character as `\u00XX`.
+///
+/// ```
+/// let mut out = String::new();
+/// napel_telemetry::json::write_string(&mut out, "a\"b\tc");
+/// assert_eq!(out, r#""a\"b\tc""#);
+/// ```
+pub fn write_string(out: &mut String, value: &str) {
     out.push('"');
     for c in value.chars() {
         match c {

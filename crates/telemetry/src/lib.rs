@@ -14,7 +14,8 @@
 //!   arbitrarily: sorting by `(lane, seq)` reproduces the same event
 //!   order run after run.
 //! - **Metrics** — named monotonically-increasing [counters](Telemetry::counter)
-//!   and fixed-bucket [histograms](Telemetry::observe) ([`Histogram`]).
+//!   and log-bucketed [histograms](Telemetry::merge_log_histogram)
+//!   ([`LogHistogram`]).
 //! - **Sinks** ([`TelemetryReport`]) — a drained report renders as JSONL
 //!   (one event or metric per line, schema in [`TelemetryReport::to_jsonl`])
 //!   or as a human-readable summary table (phase-time breakdown plus top
@@ -69,16 +70,14 @@ pub mod log;
 
 mod event;
 mod expo;
-mod json;
+pub mod json;
 mod loghist;
-mod metrics;
 mod report;
 mod span;
 
 pub use event::SpanEvent;
 pub use expo::{sanitize_metric_name, SUMMARY_QUANTILES};
 pub use loghist::{LogHistogram, MAX_TRACKED, MIN_TRACKED, RELATIVE_ERROR_BOUND};
-pub use metrics::Histogram;
 pub use report::TelemetryReport;
 pub use span::{LaneGuard, Span};
 
@@ -102,7 +101,6 @@ pub struct Telemetry {
 pub(crate) struct Inner {
     spans: Mutex<Vec<SpanEvent>>,
     counters: Mutex<BTreeMap<String, u64>>,
-    histograms: Mutex<BTreeMap<String, Histogram>>,
     log_histograms: Mutex<BTreeMap<String, LogHistogram>>,
     /// Next sequence number per lane.
     lanes: Mutex<BTreeMap<u64, u64>>,
@@ -180,28 +178,6 @@ impl Telemetry {
         }
     }
 
-    /// Records `value` into the named fixed-bucket histogram, creating it
-    /// with `bounds` (strictly increasing upper bucket edges; an implicit
-    /// overflow bucket follows the last) on first use. A value lands in
-    /// the first bucket whose bound is `>= value`. Later calls must pass
-    /// the same bounds.
-    pub fn observe(&self, name: &str, bounds: &[f64], value: f64) {
-        if let Some(inner) = &self.inner {
-            let mut histograms = inner
-                .histograms
-                .lock()
-                .expect("telemetry histograms not poisoned");
-            match histograms.get_mut(name) {
-                Some(h) => h.observe(value),
-                None => {
-                    let mut h = Histogram::new(bounds);
-                    h.observe(value);
-                    histograms.insert(name.to_string(), h);
-                }
-            }
-        }
-    }
-
     /// Merges a locally-accumulated [`LogHistogram`] into the named
     /// global one, creating it empty on first use. The intended pattern
     /// for hot paths: observe into an unshared local (no lock, no global
@@ -242,15 +218,12 @@ impl Telemetry {
         let mut spans = std::mem::take(&mut *inner.spans.lock().expect("telemetry spans"));
         spans.sort_by_key(|e| (e.lane, e.seq));
         let counters = std::mem::take(&mut *inner.counters.lock().expect("telemetry counters"));
-        let histograms =
-            std::mem::take(&mut *inner.histograms.lock().expect("telemetry histograms"));
         let log_histograms =
             std::mem::take(&mut *inner.log_histograms.lock().expect("telemetry loghists"));
         inner.lanes.lock().expect("telemetry lanes").clear();
         TelemetryReport {
             spans,
             counters: counters.into_iter().collect(),
-            histograms: histograms.into_iter().collect(),
             log_histograms: log_histograms.into_iter().collect(),
         }
     }
@@ -308,17 +281,6 @@ macro_rules! counter {
     };
 }
 
-/// Records into a histogram on the [`global`] handle:
-/// `observe!("name", &BOUNDS, value)`.
-#[macro_export]
-macro_rules! observe {
-    ($name:expr, $bounds:expr, $value:expr) => {
-        if $crate::enabled() {
-            $crate::global().observe($name, $bounds, $value);
-        }
-    };
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -329,7 +291,6 @@ mod tests {
         {
             let _s = t.span("x").attr("k", 1);
             t.counter("c", 5);
-            t.observe("h", &[1.0], 0.5);
             t.merge_log_histogram("lh", &LogHistogram::new());
             t.record(SpanEvent {
                 name: "x".to_string(),
@@ -345,7 +306,6 @@ mod tests {
         let r = t.drain();
         assert!(r.spans.is_empty());
         assert!(r.counters.is_empty());
-        assert!(r.histograms.is_empty());
         assert!(r.log_histograms.is_empty());
     }
 

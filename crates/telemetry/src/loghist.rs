@@ -1,11 +1,9 @@
 //! Log-bucketed histograms with bounded-relative-error quantiles.
 //!
-//! The fixed-bucket [`Histogram`](crate::Histogram) is the right tool
-//! when the interesting range is known up front (a latency SLO ladder).
-//! It is the wrong tool for *quantiles*: `quantile(0.99)` from a dozen
+//! Fixed buckets make poor *quantiles*: `quantile(0.99)` from a dozen
 //! hand-picked buckets is only as good as the hand-picking, and the
-//! alternative — keeping every observation and sorting at the end, as
-//! `loadgen` originally did — costs memory proportional to traffic.
+//! alternative — keeping every observation and sorting at the end —
+//! costs memory proportional to traffic.
 //!
 //! [`LogHistogram`] is the HdrHistogram-style middle ground: buckets are
 //! laid out geometrically (every power of two split into

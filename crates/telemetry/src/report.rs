@@ -6,7 +6,6 @@ use std::fmt::Write as _;
 use crate::event::SpanEvent;
 use crate::json::{self, JsonValue};
 use crate::loghist::LogHistogram;
-use crate::metrics::Histogram;
 
 /// Everything one [`Telemetry`](crate::Telemetry) handle recorded:
 /// spans sorted by `(lane, seq)`, counters and histograms sorted by
@@ -17,8 +16,6 @@ pub struct TelemetryReport {
     pub spans: Vec<SpanEvent>,
     /// `(name, value)` pairs in name order.
     pub counters: Vec<(String, u64)>,
-    /// `(name, histogram)` pairs in name order.
-    pub histograms: Vec<(String, Histogram)>,
     /// `(name, log-bucketed histogram)` pairs in name order.
     pub log_histograms: Vec<(String, LogHistogram)>,
 }
@@ -26,10 +23,7 @@ pub struct TelemetryReport {
 impl TelemetryReport {
     /// Whether nothing was recorded (always true for a noop handle).
     pub fn is_empty(&self) -> bool {
-        self.spans.is_empty()
-            && self.counters.is_empty()
-            && self.histograms.is_empty()
-            && self.log_histograms.is_empty()
+        self.spans.is_empty() && self.counters.is_empty() && self.log_histograms.is_empty()
     }
 
     /// The value of a counter, if it was ever incremented.
@@ -46,8 +40,8 @@ impl TelemetryReport {
     }
 
     /// A copy with every measurement zeroed: span `seconds` become `0.0`
-    /// and histograms of both flavors (whose *bucket counts* depend on
-    /// measured values) are dropped. What remains — span names, lanes,
+    /// and histograms (whose *bucket counts* depend on measured values)
+    /// are dropped. What remains — span names, lanes,
     /// sequence numbers, nesting, attributes, counters — is the
     /// deterministic skeleton, directly comparable across runs and
     /// executors with `assert_eq!`.
@@ -62,22 +56,20 @@ impl TelemetryReport {
                 })
                 .collect(),
             counters: self.counters.clone(),
-            histograms: Vec::new(),
             log_histograms: Vec::new(),
         }
     }
 
     /// Renders the report as JSONL: one object per line, spans first
-    /// (in `(lane, seq)` order), then counters, then fixed-bucket
-    /// histograms, then log-bucketed histograms.
+    /// (in `(lane, seq)` order), then counters, then log-bucketed
+    /// histograms.
     ///
     /// Schema (one line each; `nan` appears only when nonzero):
     ///
     /// ```json
     /// {"type":"span","name":"campaign.job","lane":3,"seq":0,"depth":0,"parent":"x","seconds":0.001,"attrs":{"workload":"atax"}}
     /// {"type":"counter","name":"campaign.jobs.completed","value":54}
-    /// {"type":"histogram","name":"ml.forest.tree_build_seconds","bounds":[0.001,0.01],"counts":[3,2,0],"sum":0.02}
-    /// {"type":"loghist","name":"serve.latency_seconds","buckets":[[1510,3],[1600,1]],"below":0,"sum":0.013}
+    /// {"type":"loghist","name":"ml.forest.tree_build_seconds","buckets":[[1510,3],[1600,1]],"below":0,"sum":0.013}
     /// ```
     ///
     /// `loghist` bucket entries are sparse `[bucket_index, count]` pairs
@@ -93,31 +85,6 @@ impl TelemetryReport {
             json::write_string(&mut out, name);
             write!(out, ",\"value\":{value}}}").expect("writing to String cannot fail");
             out.push('\n');
-        }
-        for (name, h) in &self.histograms {
-            out.push_str("{\"type\":\"histogram\",\"name\":");
-            json::write_string(&mut out, name);
-            out.push_str(",\"bounds\":[");
-            for (i, b) in h.bounds().iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                json::write_f64(&mut out, *b);
-            }
-            out.push_str("],\"counts\":[");
-            for (i, c) in h.counts().iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write!(out, "{c}").expect("writing to String cannot fail");
-            }
-            out.push(']');
-            if h.nan_count() > 0 {
-                write!(out, ",\"nan\":{}", h.nan_count()).expect("writing to String cannot fail");
-            }
-            out.push_str(",\"sum\":");
-            json::write_f64(&mut out, h.sum());
-            out.push_str("}\n");
         }
         for (name, h) in &self.log_histograms {
             out.push_str("{\"type\":\"loghist\",\"name\":");
@@ -170,21 +137,6 @@ impl TelemetryReport {
                         .map_err(|e| format!("line {lineno}: {e}"))?;
                     report.counters.push((name, value));
                 }
-                "histogram" => {
-                    let name = json::get_string(&fields, "name")
-                        .map_err(|e| format!("line {lineno}: {e}"))?;
-                    let bounds = decode_array(&fields, "bounds", JsonValue::as_f64)
-                        .map_err(|e| format!("line {lineno}: {e}"))?;
-                    let counts = decode_array(&fields, "counts", JsonValue::as_u64)
-                        .map_err(|e| format!("line {lineno}: {e}"))?;
-                    // `nan` is omitted when zero, and `sum` is absent in
-                    // JSONL written before either field existed.
-                    let nan = optional_u64(&fields, "nan", lineno)?;
-                    let sum = optional_f64(&fields, "sum", lineno)?;
-                    let h = Histogram::from_parts(bounds, counts, nan, sum)
-                        .map_err(|e| format!("line {lineno}: {e}"))?;
-                    report.histograms.push((name, h));
-                }
                 "loghist" => {
                     let name = json::get_string(&fields, "name")
                         .map_err(|e| format!("line {lineno}: {e}"))?;
@@ -214,7 +166,7 @@ impl TelemetryReport {
     /// Renders the end-of-run summary: a phase-time breakdown (per span
     /// name: call count, total and mean wall-clock, sorted by total
     /// descending), the counters (sorted by value descending), and one
-    /// line per histogram.
+    /// quantile row per histogram.
     pub fn summary(&self) -> String {
         let mut out = String::new();
         if self.is_empty() {
@@ -265,27 +217,6 @@ impl TelemetryReport {
             render_aligned(&mut out, &rows);
         }
 
-        if !self.histograms.is_empty() {
-            out.push_str("histograms\n");
-            for (name, h) in &self.histograms {
-                write!(out, "  {name}  n={}  ", h.total()).expect("write to String");
-                for (i, c) in h.counts().iter().enumerate() {
-                    if i > 0 {
-                        out.push_str(" | ");
-                    }
-                    if i < h.bounds().len() {
-                        write!(out, "le {}: {c}", h.bounds()[i]).expect("write to String");
-                    } else {
-                        write!(out, "over: {c}").expect("write to String");
-                    }
-                }
-                if h.nan_count() > 0 {
-                    write!(out, " | nan: {}", h.nan_count()).expect("write to String");
-                }
-                out.push('\n');
-            }
-        }
-
         if !self.log_histograms.is_empty() {
             out.push_str("quantile summaries\n");
             let mut rows = vec![vec![
@@ -319,14 +250,6 @@ fn optional_u64(fields: &[(String, JsonValue)], key: &str, lineno: usize) -> Res
     match json::get(fields, key) {
         None => Ok(0),
         Some(_) => json::get_u64(fields, key).map_err(|e| format!("line {lineno}: {e}")),
-    }
-}
-
-/// Reads an `f64` field absent from JSONL written by older schemas.
-fn optional_f64(fields: &[(String, JsonValue)], key: &str, lineno: usize) -> Result<f64, String> {
-    match json::get(fields, key) {
-        None => Ok(0.0),
-        Some(_) => json::get_f64(fields, key).map_err(|e| format!("line {lineno}: {e}")),
     }
 }
 
@@ -387,8 +310,6 @@ mod tests {
         }
         t.counter("c.hits", 41);
         t.counter("c.misses", 1);
-        t.observe("h.seconds", &[0.001, 0.1], 0.05);
-        t.observe("h.seconds", &[0.001, 0.1], 5.0);
         let mut lat = LogHistogram::new();
         lat.observe(0.003);
         lat.observe(0.004);
@@ -411,7 +332,7 @@ mod tests {
     fn jsonl_schema_fields_are_present() {
         let text = sample().to_jsonl();
         let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 6);
+        assert_eq!(lines.len(), 5);
         assert!(lines[0].starts_with("{\"type\":\"span\",\"name\":\"phase.outer\""));
         assert!(lines[0].contains("\"lane\":0"));
         assert!(lines[0].contains("\"seq\":0"));
@@ -420,39 +341,38 @@ mod tests {
         assert!(lines[1].contains("\"parent\":\"phase.outer\""));
         assert!(lines[1].contains("\"attrs\":{\"quote\":\"a\\\"b\",\"index\":\"7\"}"));
         assert!(lines[2].contains("\"type\":\"counter\""));
-        assert!(lines[4].contains("\"bounds\":[0.001,0.1]"));
-        assert!(lines[4].contains("\"counts\":[0,1,1]"));
-        assert!(lines[4].contains("\"sum\":5.05"), "shortest-form f64 sum");
+        assert!(lines[4].starts_with("{\"type\":\"loghist\",\"name\":\"lh.latency\""));
+        assert!(lines[4].contains("\"below\":1"));
+        assert!(lines[4].contains("\"sum\":0.00"));
         assert!(!lines[4].contains("\"nan\""), "nan omitted when zero");
-        assert!(lines[5].starts_with("{\"type\":\"loghist\",\"name\":\"lh.latency\""));
-        assert!(lines[5].contains("\"below\":1"));
-        assert!(lines[5].contains("\"sum\":0.00"));
-        assert!(lines[5].contains("\"buckets\":[["));
+        assert!(lines[4].contains("\"buckets\":[["));
     }
 
     #[test]
-    fn histogram_nan_field_round_trips_through_jsonl() {
+    fn loghist_nan_field_round_trips_through_jsonl() {
         let t = Telemetry::enabled();
-        t.observe("h.bad", &[1.0], f64::NAN);
-        t.observe("h.bad", &[1.0], 0.5);
+        let mut h = LogHistogram::new();
+        h.observe(f64::NAN);
+        h.observe(0.5);
+        t.merge_log_histogram("h.bad", &h);
         let report = t.drain();
         let text = report.to_jsonl();
         assert!(text.contains("\"nan\":1"), "nonzero nan is serialized");
         let back = TelemetryReport::from_jsonl(&text).expect("parses");
         assert_eq!(back, report);
-        assert_eq!(back.histograms[0].1.nan_count(), 1);
-        // Pre-`nan`/`sum` schema lines still parse (fields default to 0).
-        let legacy =
-            "{\"type\":\"histogram\",\"name\":\"old\",\"bounds\":[1.0],\"counts\":[2,0]}\n";
-        let old = TelemetryReport::from_jsonl(legacy).expect("legacy parses");
-        assert_eq!(old.histograms[0].1.nan_count(), 0);
-        assert_eq!(old.histograms[0].1.sum(), 0.0);
+        assert_eq!(back.log_histograms[0].1.nan_count(), 1);
     }
 
     #[test]
     fn from_jsonl_rejects_garbage() {
         assert!(TelemetryReport::from_jsonl("not json\n").is_err());
         assert!(TelemetryReport::from_jsonl("{\"type\":\"mystery\"}\n").is_err());
+        // The schema is closed: `histogram` is not one of its record types.
+        let err = TelemetryReport::from_jsonl(
+            "{\"type\":\"histogram\",\"name\":\"h\",\"bounds\":[1.0],\"counts\":[2,0]}\n",
+        )
+        .expect_err("histogram lines are refused");
+        assert!(err.contains("unknown type `histogram`"), "{err}");
         assert!(
             TelemetryReport::from_jsonl("{\"type\":\"counter\",\"name\":\"x\"}\n").is_err(),
             "counter without value"
@@ -468,7 +388,7 @@ mod tests {
         let b = sample().without_timings();
         assert_eq!(a, b);
         assert!(a.spans.iter().all(|e| e.seconds == 0.0));
-        assert!(a.histograms.is_empty());
+        assert!(a.log_histograms.is_empty());
         assert_eq!(a.counter("c.hits"), Some(41));
     }
 
@@ -481,9 +401,6 @@ mod tests {
         assert!(s.contains("counters"));
         assert!(s.contains("c.hits"));
         assert!(s.contains("41"));
-        assert!(s.contains("histograms"));
-        assert!(s.contains("h.seconds"));
-        assert!(s.contains("n=2"));
         assert!(s.contains("quantile summaries"));
         assert!(s.contains("lh.latency"));
         let empty = TelemetryReport::default().summary();

@@ -221,7 +221,7 @@ proptest! {
         splice_at in any::<u16>(),
         splice in prop::collection::vec(any::<u8>(), 0..8),
     ) {
-        use napel::telemetry::{Telemetry, TelemetryReport};
+        use napel::telemetry::{LogHistogram, Telemetry, TelemetryReport};
 
         // A genuine round-trip document, with a span attribute carrying
         // arbitrary (lossily-decoded) bytes through string escaping.
@@ -234,7 +234,10 @@ proptest! {
         for (i, v) in counter_values.iter().enumerate() {
             t.counter(&format!("prop.counter.{i}"), *v);
         }
-        t.observe("prop.hist", &[0.5, 1.5], 1.0);
+        let mut hist = LogHistogram::new();
+        hist.observe(1.0);
+        hist.observe(0.0);
+        t.merge_log_histogram("prop.hist", &hist);
         let report = t.drain();
         let text = report.to_jsonl();
         prop_assert_eq!(

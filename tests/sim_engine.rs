@@ -12,7 +12,10 @@
 //! - all 12 Table 2 kernels,
 //! - three architecture configurations: the Table 3 default, a contended
 //!   open-row multi-issue shape, and a non-power-of-two geometry that
-//!   exercises the DRAM address mapping's division fallback,
+//!   exercises the DRAM address mapping's division fallback — plus, for
+//!   the reused engine, the five non-default shapes of the campaign's
+//!   `arch_neighborhood()` sweep (16 PEs, 2.5 GHz, 8 cache lines,
+//!   16 vaults × 4 layers, 2-issue),
 //! - both trace entries: materialized [`MultiTrace`] and compact-encoded
 //!   per-thread streams (the two `TracePolicy` residencies),
 //! - Serial and Threaded campaign executors, both residency policies,
@@ -21,7 +24,7 @@
 use napel::core::campaign::{
     plan_jobs, ProfileCache, ResidentTrace, Serial, Threaded, TracePolicy,
 };
-use napel::core::collect::{collect_with, CollectionPlan};
+use napel::core::collect::{arch_neighborhood, collect_with, CollectionPlan};
 use napel::core::features::LabeledRun;
 use napel::ir::EncodedTrace;
 use napel::sim::{ArchConfig, NmcSystem, RowPolicy, SimEngine, SimReport};
@@ -81,13 +84,28 @@ fn phase_engine_is_field_identical_to_reference_on_all_kernels() {
 fn reused_engine_is_field_identical_to_reference_on_all_kernels() {
     // One engine across every kernel × config, the way a campaign worker
     // drives it: buffer reuse must leave no state behind between runs.
+    // The neighborhood's first shape is the paper default, already in
+    // `arch_configs()`.
+    let neighborhood = arch_neighborhood();
+    assert_eq!(neighborhood[0], ArchConfig::paper_default());
+    let shapes = arch_configs().into_iter().chain(
+        neighborhood
+            .into_iter()
+            .skip(1)
+            .map(|arch| ("arch_neighborhood", arch)),
+    );
     let mut engine = SimEngine::new();
-    for (name, arch) in arch_configs() {
+    for (name, arch) in shapes {
         let sys = NmcSystem::new(arch);
         for w in Workload::ALL {
             let trace = w.generate_test(Scale::tiny());
             let reference = sys.run_reference(&trace);
-            assert_eq!(engine.run(&sys, &trace), reference, "{w} on {name}");
+            assert_eq!(
+                engine.run(&sys, &trace),
+                reference,
+                "{w} on {name}: {:?}",
+                sys.config()
+            );
         }
     }
 }

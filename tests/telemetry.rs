@@ -161,9 +161,9 @@ fn telemetry_is_invisible_deterministic_and_complete() {
     }
     assert!(
         ml_stream
-            .histograms
+            .log_histograms
             .iter()
-            .any(|(name, h)| name == "ml.forest.tree_build_seconds" && h.total() == 30),
+            .any(|(name, h)| name == "ml.forest.tree_build_seconds" && h.count() == 30),
         "tree-build histogram should hold one sample per tree per fold"
     );
 
