@@ -14,10 +14,14 @@
 //!   range of scheduling windows,
 //! - **data/instruction reuse distance** ([`reuse`]) — the probability of
 //!   reusing an element before touching δ other unique elements, for δ at
-//!   every power of two (LRU stack distance, computed with a Fenwick tree),
+//!   every power of two (exact LRU stack distance over a bitmap of live
+//!   accesses),
 //! - **memory traffic** ([`traffic`]) — the fraction of reads/writes that
 //!   escape an ideal fully-associative cache of a given capacity,
-//! - **register traffic and memory footprint** ([`footprint`]),
+//! - **register traffic** ([`mix`]) and **memory footprint** — the distinct
+//!   elements read, written and touched, and the distinct static
+//!   instructions, which are the first-touch (cold) accesses of the reuse
+//!   trackers,
 //!
 //! all flattened into one [`ApplicationProfile`] feature vector with stable
 //! names ([`feature_names`]).
@@ -41,7 +45,6 @@
 //! assert!(p.value("mix.class.mem_read") > 0.3);
 //! ```
 
-pub mod footprint;
 pub mod ilp;
 pub mod mix;
 mod profile;

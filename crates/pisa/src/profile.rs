@@ -4,10 +4,9 @@ use std::sync::OnceLock;
 
 use napel_ir::{Inst, MultiTrace, OpClass, Opcode, ThreadedTraceSink};
 
-use crate::footprint::FootprintAnalyzer;
 use crate::ilp::IlpAnalyzer;
 use crate::mix::MixCounter;
-use crate::reuse::{ReuseAnalyzer, ReuseHistogram, NUM_BUCKETS};
+use crate::reuse::{Interner, ReuseAnalyzer, ReuseHistogram, NUM_BUCKETS};
 use crate::traffic::{Granularity, TrafficAnalyzer};
 
 /// Number of power-of-two reuse-distance buckets in the profile
@@ -27,13 +26,14 @@ pub struct ApplicationProfile {
 impl ApplicationProfile {
     /// Profiles a kernel execution.
     ///
-    /// The per-thread traces are analyzed back-to-back (thread 0's full
-    /// stream, then thread 1's, ...): reuse distances, spatial locality and
-    /// ILP are *per-thread* properties — each software thread runs on its
-    /// own core whose cache and prefetcher see only that thread's access
-    /// stream — while mix, footprint, and volume aggregate over the union.
-    /// A round-robin interleaving would instead measure cross-thread
-    /// artifacts (e.g. false spatial locality on shared read-only data).
+    /// The per-thread traces go back to back (thread 0's full stream, then
+    /// thread 1's, ...) through one set of analyzers, which are never reset
+    /// between threads: a thread's first touch of data an earlier thread
+    /// touched counts as a reuse, and ILP windows and store-to-load
+    /// dependences carry from one thread's stream into the next. Mix,
+    /// footprint and volume aggregate over the union. A round-robin
+    /// interleaving would instead measure cross-thread artifacts (e.g.
+    /// false spatial locality on shared read-only data).
     pub fn of(trace: &MultiTrace) -> Self {
         let telemetry = napel_telemetry::global();
         let _span = telemetry
@@ -42,7 +42,7 @@ impl ApplicationProfile {
             .attr("insts", trace.total_insts());
         telemetry.counter("pisa.instructions", trace.total_insts() as u64);
 
-        let mut observer = ProfileObserver::with_capacity(trace.total_insts());
+        let mut observer = ProfileObserver::new();
         ThreadedTraceSink::begin(&mut observer, trace.num_threads());
         {
             let _observe = telemetry.span("pisa.observe");
@@ -102,8 +102,8 @@ impl ApplicationProfile {
 /// [`generate_into`](https://docs.rs/napel-workloads) — typically tee'd
 /// with a compact trace encoder. Instructions must arrive **thread-major**
 /// (thread 0's full stream, then thread 1's, ...), which is both the order
-/// every kernel emits in and the per-thread order
-/// [`ApplicationProfile::of`] analyzes in; the resulting profile is
+/// every kernel emits in and the order [`ApplicationProfile::of`] replays
+/// a trace in; the resulting profile is
 /// bit-identical to profiling the collected trace (enforced by test and by
 /// `of` itself being implemented on top of this observer).
 ///
@@ -130,8 +130,8 @@ pub struct ProfileObserver {
     ilp: IlpAnalyzer,
     elem: TrafficAnalyzer,
     line: TrafficAnalyzer,
+    pcs: PcIds,
     inst_reuse: ReuseAnalyzer,
-    footprint: FootprintAnalyzer,
     num_threads: usize,
     insts: u64,
     last_thread: usize,
@@ -143,19 +143,13 @@ impl ProfileObserver {
     /// streaming kernel) before recording; the thread count is itself a
     /// profile feature.
     pub fn new() -> Self {
-        Self::with_capacity(0)
-    }
-
-    /// Creates an observer pre-sized for `n` instructions (sizes the
-    /// instruction-reuse tracker; affects speed only, never results).
-    pub fn with_capacity(n: usize) -> Self {
         ProfileObserver {
             mix: MixCounter::new(),
             ilp: IlpAnalyzer::new(),
             elem: TrafficAnalyzer::new(Granularity::Element),
             line: TrafficAnalyzer::new(Granularity::Line64),
-            inst_reuse: ReuseAnalyzer::with_capacity(n),
-            footprint: FootprintAnalyzer::new(),
+            pcs: PcIds::default(),
+            inst_reuse: ReuseAnalyzer::new(),
             num_threads: 0,
             insts: 0,
             last_thread: 0,
@@ -167,11 +161,11 @@ impl ProfileObserver {
     pub fn observe(&mut self, inst: &Inst) {
         self.insts += 1;
         self.mix.observe(inst);
-        self.ilp.observe(inst);
-        self.elem.observe(inst);
+        let elem = self.elem.observe(inst);
         self.line.observe(inst);
-        self.inst_reuse.access(u64::from(inst.pc));
-        self.footprint.observe(inst);
+        self.ilp.observe(inst, elem);
+        let pc = self.pcs.id(inst.pc);
+        self.inst_reuse.access(pc);
     }
 
     /// Instructions observed so far.
@@ -203,11 +197,10 @@ impl ProfileObserver {
             elem,
             line,
             inst_reuse,
-            footprint,
             num_threads,
             ..
         } = self;
-        let mut values = Vec::with_capacity(feature_names().len());
+        let mut values = Vec::new();
 
         // 1-2. Instruction mix.
         for op in Opcode::ALL {
@@ -258,16 +251,49 @@ impl ProfileObserver {
             values.push(h.quantile_bucket(0.5) as f64);
             values.push(h.quantile_bucket(0.9) as f64);
         }
-        // 11. Footprint.
-        values.push(log2p1(footprint.total_bytes() as f64));
-        values.push(log2p1(footprint.read_bytes() as f64));
-        values.push(log2p1(footprint.written_bytes() as f64));
-        values.push(log2p1(footprint.static_insts() as f64));
+        // 11. Footprint: an element's first read, first write and first
+        // touch are the cold accesses of the element trackers, and a static
+        // instruction's first execution that of the instruction tracker.
+        values.push(log2p1((elem.combined_histogram().cold() * 8) as f64));
+        values.push(log2p1((elem.read_histogram().cold() * 8) as f64));
+        values.push(log2p1((elem.write_histogram().cold() * 8) as f64));
+        values.push(log2p1(inst_reuse.histogram().cold() as f64));
         // 12. Threads.
         values.push(num_threads as f64);
 
         debug_assert_eq!(values.len(), feature_names().len());
         ApplicationProfile { values }
+    }
+}
+
+/// pc → dense id: the interner behind a direct-mapped cache. A kernel has
+/// a handful of static instructions, so nearly every lookup hits the cache
+/// and skips the hash probe.
+#[derive(Debug, Clone)]
+struct PcIds {
+    /// `(pc, id)` last looked up in each slot; the tag `u64::MAX` matches
+    /// no pc.
+    recent: [(u64, u32); 64],
+    ids: Interner,
+}
+
+impl Default for PcIds {
+    fn default() -> Self {
+        PcIds {
+            recent: [(u64::MAX, 0); 64],
+            ids: Interner::default(),
+        }
+    }
+}
+
+impl PcIds {
+    #[inline]
+    fn id(&mut self, pc: u32) -> u32 {
+        let slot = &mut self.recent[pc as usize % 64];
+        if slot.0 != u64::from(pc) {
+            *slot = (u64::from(pc), self.ids.intern(u64::from(pc)));
+        }
+        slot.1
     }
 }
 
@@ -284,8 +310,8 @@ impl ThreadedTraceSink for ProfileObserver {
 
     #[inline]
     fn record(&mut self, thread: usize, inst: Inst) {
-        // Per-thread analyses (reuse, ILP, spatial locality) rely on the
-        // thread-major stream order documented on the type.
+        // Profiles are defined over the thread-major stream order
+        // documented on the type.
         debug_assert!(
             thread >= self.last_thread,
             "ProfileObserver requires thread-major streams (thread {thread} after {})",
@@ -485,21 +511,55 @@ mod tests {
         );
     }
 
+    /// The profile of one thread built by `build`.
+    fn profile_of(build: impl FnOnce(&mut Emitter<&mut napel_ir::Trace>)) -> ApplicationProfile {
+        let mut t = MultiTrace::new(1);
+        let mut e = Emitter::new(t.thread_sink(0));
+        build(&mut e);
+        drop(e);
+        ApplicationProfile::of(&t)
+    }
+
+    /// Asserts the `footprint.log2_*` features: total, read and written
+    /// bytes, then static instructions.
+    fn assert_footprint(p: &ApplicationProfile, expected: [f64; 4]) {
+        let names = ["total_bytes", "read_bytes", "written_bytes", "static_insts"];
+        for (name, x) in names.into_iter().zip(expected) {
+            assert_eq!(
+                p.value(&format!("footprint.log2_{name}")),
+                log2p1(x),
+                "{name}"
+            );
+        }
+    }
+
     #[test]
-    fn observer_capacity_hint_never_changes_results() {
-        let trace = streaming_trace(500, 2);
-        let feed = |mut obs: ProfileObserver| {
-            ThreadedTraceSink::begin(&mut obs, trace.num_threads());
-            for (t, lane) in trace.iter().enumerate() {
-                for inst in lane.iter() {
-                    ThreadedTraceSink::record(&mut obs, t, *inst);
-                }
+    fn footprint_counts_unique_elements() {
+        let p = profile_of(|e| {
+            for _ in 0..4 {
+                let x = e.load(0, 0x100, 8);
+                e.store(1, 0x200, 8, x);
             }
-            obs.finish()
-        };
-        let grown = feed(ProfileObserver::new());
-        let presized = feed(ProfileObserver::with_capacity(trace.total_insts()));
-        assert_eq!(grown.values(), presized.values());
+            let y = e.load(2, 0x108, 8);
+            e.store(3, 0x200, 8, y); // overlaps previous store
+        });
+        // Read 0x100 and 0x108, wrote 0x200: 24 bytes over 4 pcs.
+        assert_footprint(&p, [24.0, 16.0, 8.0, 4.0]);
+    }
+
+    #[test]
+    fn read_write_overlap_not_double_counted() {
+        let p = profile_of(|e| {
+            let x = e.load(0, 0x40, 8);
+            e.store(1, 0x40, 8, x);
+        });
+        assert_footprint(&p, [8.0, 8.0, 8.0, 2.0]);
+    }
+
+    #[test]
+    fn empty_stream_has_zero_footprint() {
+        let p = profile_of(|_| {});
+        assert_footprint(&p, [0.0; 4]);
     }
 
     #[test]

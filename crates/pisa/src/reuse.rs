@@ -4,11 +4,16 @@
 //! data element/instruction before accessing δ other unique data
 //! elements/instructions". That is the classic *stack distance*: the number
 //! of distinct elements touched since the previous access to the same
-//! element. We compute it exactly in `O(log n)` per access with the
-//! Bennett–Kruskal/Olken algorithm: a Fenwick tree over access timestamps
-//! marks which timestamps are the *most recent* access of their element;
-//! the stack distance of an access is the count of marked timestamps after
-//! the element's previous access.
+//! element. We compute it exactly with the Bennett–Kruskal/Olken scheme:
+//! each access takes the next timestamp, a bitmap marks the timestamps that
+//! are the *latest* access of their element, and the stack distance of an
+//! access is the count of marks after the element's previous access.
+//!
+//! The count is popcounts when the previous access lies in the same or the
+//! neighbouring 64-bit word, and a Fenwick tree over whole words otherwise.
+//! When the timestamps run out, the live marks are renumbered in order into
+//! a bitmap sized by the live keys, which leaves every distance unchanged
+//! and keeps memory proportional to the keys, not the accesses.
 //!
 //! Distances are summarized in power-of-two buckets
 //! ([`ReuseHistogram`]); cold (first-touch) accesses are tracked separately.
@@ -139,7 +144,35 @@ fn bucket_of(d: u64) -> usize {
     }
 }
 
-/// Exact LRU stack-distance tracker over an arbitrary key space.
+/// Maps sparse keys (addresses, pcs) to dense ids in first-seen order.
+///
+/// Every tracker keyed by the same value indexes flat arrays with the id,
+/// so an address costs one hash probe however many trackers see it.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Interner {
+    ids: FxHashMap<u64, u32>,
+}
+
+impl Interner {
+    /// The id of `key`, assigning the next one on first sight.
+    #[inline]
+    pub(crate) fn intern(&mut self, key: u64) -> u32 {
+        let next = self.ids.len();
+        *self
+            .ids
+            .entry(key)
+            .or_insert_with(|| u32::try_from(next).expect("more than 2^32 distinct keys"))
+    }
+}
+
+/// Fewest timestamp slots a tracker keeps (64 words of live marks).
+const MIN_SLOTS: usize = 4096;
+/// Most timestamp slots: timestamps are stored as `u32`, below [`NEVER`].
+const MAX_SLOTS: usize = 1 << 31;
+/// `last` entry of a key never accessed.
+const NEVER: u32 = u32::MAX;
+
+/// Exact LRU stack-distance tracker over dense key ids (`0, 1, 2, …`).
 ///
 /// # Example
 ///
@@ -147,102 +180,158 @@ fn bucket_of(d: u64) -> usize {
 /// use napel_pisa::reuse::StackDistance;
 ///
 /// let mut s = StackDistance::new();
-/// assert_eq!(s.access(10), None);      // cold
-/// assert_eq!(s.access(20), None);      // cold
-/// assert_eq!(s.access(10), Some(1));   // one distinct element in between
-/// assert_eq!(s.access(10), Some(0));   // immediate reuse
+/// assert_eq!(s.access(1), None);      // cold
+/// assert_eq!(s.access(2), None);      // cold
+/// assert_eq!(s.access(1), Some(1));   // one distinct element in between
+/// assert_eq!(s.access(1), Some(0));   // immediate reuse
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct StackDistance {
-    /// Fenwick tree over timestamps; `tree[t] = 1` iff timestamp `t` is the
-    /// most recent access of its element.
-    tree: Vec<u32>,
-    /// Last access timestamp (1-based) of each element.
-    last: FxHashMap<u64, usize>,
-    /// Next timestamp to assign (1-based).
+    /// One bit per timestamp, set while that timestamp is its key's latest
+    /// access.
+    live: Vec<u64>,
+    /// Fenwick tree (1-based) over the live counts of the *sealed* words
+    /// of `live`: word `w` enters at index `w + 1` once all 64 of its
+    /// timestamps have been handed out.
+    sealed: Vec<u32>,
+    /// Latest timestamp of each key, or [`NEVER`].
+    last: Vec<u32>,
+    /// Every key seen, in first-touch order; each holds exactly one live
+    /// mark.
+    keys: Vec<u32>,
+    /// Next timestamp to hand out.
     clock: usize,
 }
 
 impl StackDistance {
-    /// Creates a tracker that grows as accesses arrive.
+    /// Creates an empty tracker.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Creates a tracker pre-sized for `n` accesses (avoids regrowth).
-    pub fn with_capacity(n: usize) -> Self {
-        StackDistance {
-            tree: vec![0; n + 1],
-            last: FxHashMap::default(),
-            clock: 0,
-        }
-    }
-
-    /// Number of distinct elements seen.
+    /// Number of distinct keys seen.
     pub fn distinct(&self) -> usize {
-        self.last.len()
+        self.keys.len()
     }
 
     /// Records an access to `key`, returning its stack distance (`None` for
     /// first touch). Distance 0 means immediate re-access.
-    pub fn access(&mut self, key: u64) -> Option<u64> {
-        self.clock += 1;
-        let t = self.clock;
-        if t >= self.tree.len() {
-            self.grow(t);
+    #[inline(always)]
+    pub fn access(&mut self, key: u32) -> Option<u64> {
+        if self.clock == self.live.len() * 64 {
+            self.renumber();
         }
-        let dist = match self.last.insert(key, t) {
-            None => None,
-            Some(prev) => {
-                // Distinct elements touched strictly after prev, before t.
-                let count = self.prefix(t - 1) - self.prefix(prev);
-                self.update(prev, -1);
-                Some(count as u64)
-            }
+        let t = self.clock;
+        self.clock += 1;
+        let k = key as usize;
+        if k >= self.last.len() {
+            self.last.resize(k + 1, NEVER);
+        }
+        // `t < MAX_SLOTS`, checked when the slots were sized.
+        let prev = std::mem::replace(&mut self.last[k], t as u32);
+        let (wt, bit) = (t / 64, 1u64 << (t % 64));
+        let mut word = self.live[wt];
+        let distance = if prev == NEVER {
+            self.keys.push(key);
+            None
+        } else {
+            // Count the marks strictly after `prev` and before `t` (the
+            // words between are sealed), then clear `prev`'s.
+            let (wp, prev_bit) = (prev as usize / 64, 1u64 << (prev % 64));
+            let after_prev = !(prev_bit | (prev_bit - 1));
+            let n = if wp == wt {
+                word &= !prev_bit;
+                (word & after_prev & (bit - 1)).count_ones()
+            } else {
+                let old = self.live[wp];
+                self.live[wp] = old & !prev_bit;
+                self.add_sealed(wp, u32::MAX); // −1
+                (old & after_prev).count_ones()
+                    + self.sealed_range(wp + 1, wt)
+                    + (word & (bit - 1)).count_ones()
+            };
+            Some(u64::from(n))
         };
-        self.update(t, 1);
-        dist
+        word |= bit;
+        self.live[wt] = word;
+        if t % 64 == 63 {
+            self.add_sealed(wt, word.count_ones());
+        }
+        distance
     }
 
-    fn grow(&mut self, need: usize) {
-        // At least double (a large `with_capacity` keeps paying off after
-        // the first regrowth instead of snapping back to `need`-sized).
-        let new_len = (need + 1)
-            .next_power_of_two()
-            .max(self.tree.len().saturating_mul(2))
-            .max(1024);
-        // Rebuild the Fenwick from the surviving marks in `last` with the
-        // linear construction: scatter the point values, then push each
-        // node's partial sum to its parent once — O(m + n), not one
-        // O(log n) `update` per mark.
-        self.tree = vec![0; new_len];
-        for &t in self.last.values() {
-            self.tree[t] += 1;
-        }
-        for i in 1..new_len {
-            let parent = i + (i & i.wrapping_neg());
-            if parent < new_len {
-                self.tree[parent] += self.tree[i];
+    /// Live marks in the sealed words `lo..hi`: `prefix(hi) − prefix(lo)`,
+    /// walking the two Fenwick paths only until they meet.
+    fn sealed_range(&self, mut lo: usize, mut hi: usize) -> u32 {
+        let mut sum = 0u32;
+        while hi != lo {
+            if hi > lo {
+                sum = sum.wrapping_add(self.sealed[hi]);
+                hi &= hi - 1;
+            } else {
+                sum = sum.wrapping_sub(self.sealed[lo]);
+                lo &= lo - 1;
             }
         }
+        sum
     }
 
     #[inline]
-    fn update(&mut self, mut i: usize, delta: i32) {
-        while i < self.tree.len() {
-            self.tree[i] = (self.tree[i] as i64 + delta as i64) as u32;
+    fn add_sealed(&mut self, word: usize, delta: u32) {
+        let mut i = word + 1;
+        while i < self.sealed.len() {
+            self.sealed[i] = self.sealed[i].wrapping_add(delta);
             i += i & i.wrapping_neg();
         }
     }
 
-    #[inline]
-    fn prefix(&self, mut i: usize) -> u32 {
-        let mut s = 0;
-        while i > 0 {
-            s += self.tree[i];
-            i -= i & i.wrapping_neg();
+    /// Moves the live marks, in order, to timestamps `0..keys` of a fresh
+    /// bitmap of `max(MIN_SLOTS, next_pow2(4 × keys))` slots. Only the
+    /// relative order of live marks enters a distance, so every later
+    /// distance is unchanged, and at least three accesses per key pass
+    /// before the next renumbering.
+    #[cold]
+    fn renumber(&mut self) {
+        let n = self.keys.len();
+        let slots = (4 * n).next_power_of_two().max(MIN_SLOTS);
+        assert!(
+            slots <= MAX_SLOTS,
+            "stack-distance tracker outgrew u32 timestamps ({n} keys)"
+        );
+        // A live mark's new timestamp is its rank among the live marks.
+        let rank_base: Vec<u32> = self
+            .live
+            .iter()
+            .scan(0, |rank, w| {
+                let base = *rank;
+                *rank += w.count_ones();
+                Some(base)
+            })
+            .collect();
+        for &k in &self.keys {
+            let t = self.last[k as usize] as usize;
+            let below = self.live[t / 64] & ((1 << (t % 64)) - 1);
+            self.last[k as usize] = rank_base[t / 64] + below.count_ones();
         }
-        s
+
+        let (full, rest) = (n / 64, n % 64);
+        self.live.clear();
+        self.live.resize(slots / 64, 0);
+        self.live[..full].fill(u64::MAX);
+        if rest > 0 {
+            self.live[full] = (1 << rest) - 1;
+        }
+        self.clock = n;
+        // Linear Fenwick construction over the full (sealed) words.
+        self.sealed.clear();
+        self.sealed.resize(slots / 64 + 1, 0);
+        self.sealed[1..=full].fill(64);
+        for i in 1..self.sealed.len() {
+            let parent = i + (i & i.wrapping_neg());
+            if parent < self.sealed.len() {
+                self.sealed[parent] += self.sealed[i];
+            }
+        }
     }
 }
 
@@ -254,22 +343,14 @@ pub struct ReuseAnalyzer {
 }
 
 impl ReuseAnalyzer {
-    /// Creates an analyzer that grows as needed.
+    /// Creates an empty analyzer.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Creates an analyzer pre-sized for `n` accesses.
-    pub fn with_capacity(n: usize) -> Self {
-        ReuseAnalyzer {
-            stack: StackDistance::with_capacity(n),
-            histogram: ReuseHistogram::new(),
-        }
-    }
-
-    /// Records an access to `key`.
+    /// Records an access to the dense key id `key`.
     #[inline]
-    pub fn access(&mut self, key: u64) {
+    pub fn access(&mut self, key: u32) {
         let d = self.stack.access(key);
         self.histogram.record(d);
     }
@@ -286,37 +367,41 @@ impl ReuseAnalyzer {
 }
 
 #[cfg(test)]
+#[allow(dead_code)]
+#[path = "../tests/oracle/mod.rs"]
+mod oracle;
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
     /// O(n²) reference implementation: distinct elements since last access.
-    fn naive_distances(keys: &[u64]) -> Vec<Option<u64>> {
-        let mut out = Vec::with_capacity(keys.len());
-        for (i, &k) in keys.iter().enumerate() {
-            let prev = keys[..i].iter().rposition(|&p| p == k);
-            out.push(prev.map(|p| {
-                let mut set = std::collections::HashSet::new();
-                for &mid in &keys[p + 1..i] {
-                    set.insert(mid);
-                }
-                set.len() as u64
-            }));
+    fn naive_distances(keys: &[u32]) -> Vec<Option<u64>> {
+        (0..keys.len())
+            .map(|i| {
+                let prev = keys[..i].iter().rposition(|&p| p == keys[i])?;
+                let between: std::collections::HashSet<u32> =
+                    keys[prev + 1..i].iter().copied().collect();
+                Some(between.len() as u64)
+            })
+            .collect()
+    }
+
+    /// Deterministic LCG stream, one value per call.
+    fn lcg(seed: u64) -> impl FnMut() -> u64 {
+        let mut x = seed;
+        move || {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            x >> 33
         }
-        out
     }
 
     #[test]
     fn matches_naive_on_random_stream() {
-        // Deterministic pseudo-random keys.
-        let mut x = 12345u64;
-        let keys: Vec<u64> = (0..500)
-            .map(|_| {
-                x = x
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                (x >> 33) % 40
-            })
-            .collect();
+        let mut next = lcg(12345);
+        let keys: Vec<u32> = (0..500).map(|_| (next() % 40) as u32).collect();
         let expected = naive_distances(&keys);
         let mut s = StackDistance::new();
         for (i, &k) in keys.iter().enumerate() {
@@ -344,36 +429,74 @@ mod tests {
         }
     }
 
-    #[test]
-    fn growth_preserves_correctness() {
-        // Start tiny and force several regrowths.
-        let mut s = StackDistance::with_capacity(2);
-        let keys: Vec<u64> = (0..3000).map(|i| i % 7).collect();
-        let expected = naive_distances(&keys);
-        for (i, &k) in keys.iter().enumerate() {
-            assert_eq!(s.access(k), expected[i], "mismatch at access {i}");
+    /// Feeds `keys` to a fresh tracker and to the oracle, comparing every
+    /// access (and the naive reference, when given); returns how many
+    /// times the tracker renumbered its live marks.
+    fn renumbered_against_oracle(
+        keys: impl IntoIterator<Item = u32>,
+        naive: Option<&[Option<u64>]>,
+    ) -> usize {
+        let mut s = StackDistance::new();
+        let mut oracle = oracle::StackDistance::new();
+        let mut renumbers = 0;
+        for (i, k) in keys.into_iter().enumerate() {
+            // A full bitmap renumbers on the next access.
+            renumbers += usize::from(s.clock > 0 && s.clock == s.live.len() * 64);
+            let d = s.access(k);
+            assert_eq!(
+                d,
+                oracle.access(u64::from(k)),
+                "oracle mismatch at access {i}"
+            );
+            if let Some(naive) = naive {
+                assert_eq!(d, naive[i], "naive mismatch at access {i}");
+            }
         }
+        assert_eq!(s.distinct(), oracle.distinct());
+        renumbers
     }
 
     #[test]
-    fn regrowth_on_long_stream_matches_preallocated() {
-        // A long pseudo-random stream with an ever-expanding key universe:
-        // the zero-capacity tracker regrows several times while thousands
-        // of live marks survive each rebuild, and must agree with a
-        // tracker that never regrows, on every single access.
-        const N: u64 = 50_000;
-        let mut grown = StackDistance::with_capacity(0);
-        let mut fixed = StackDistance::with_capacity(N as usize + 1);
-        let mut x = 0x9e3779b97f4a7c15u64;
-        for i in 0..N {
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            // Mix cold misses (growing universe) with reuse of hot keys.
-            let k = (x >> 33) % (i / 2 + 16);
-            assert_eq!(grown.access(k), fixed.access(k), "mismatch at access {i}");
+    fn distances_survive_renumbering_over_every_key_universe() {
+        // Up to 1 000 live keys a tracker holds 4 096 slots, so 16 384
+        // accesses renumber at least three times; short enough to check
+        // the small universes against the naive reference too.
+        for universe in [1u64, 2, 15, 64, 1_000] {
+            let mut next = lcg(universe);
+            let keys: Vec<u32> = (0..16_384).map(|_| (next() % universe) as u32).collect();
+            let naive = (universe <= 64).then(|| naive_distances(&keys));
+            let n = renumbered_against_oracle(keys, naive.as_deref());
+            assert!(n >= 3, "{universe} keys: renumbered {n} times");
         }
-        assert_eq!(grown.distinct(), fixed.distinct());
+        // A cyclic scan over seven keys.
+        let n = renumbered_against_oracle((0..16_384).map(|i| i % 7), None);
+        assert!(n >= 3, "cyclic scan: renumbered {n} times");
+        // 100 000 random keys: 4 096 → 16 384 → 65 536 → 262 144 slots.
+        let mut next = lcg(7);
+        let n = renumbered_against_oracle((0..300_000).map(|_| (next() % 100_000) as u32), None);
+        assert!(n >= 3, "100 000 keys: renumbered {n} times");
+        // All distinct: every mark stays live.
+        let n = renumbered_against_oracle(0..100_000, None);
+        assert!(n >= 3, "all distinct: renumbered {n} times");
+        // A growing universe mixing cold misses with reuse of hot keys.
+        let mut next = lcg(0x9e3779b97f4a7c15);
+        let n =
+            renumbered_against_oracle((0..50_000u64).map(|i| (next() % (i / 2 + 16)) as u32), None);
+        assert!(n >= 3, "growing universe: renumbered {n} times");
+    }
+
+    #[test]
+    fn renumbering_bounds_memory_by_live_keys() {
+        // 15 keys over a million accesses: the bitmap never grows past
+        // its minimum, where a tracker over every timestamp would hold a
+        // million.
+        let mut s = StackDistance::new();
+        let mut next = lcg(3);
+        for _ in 0..1_000_000 {
+            s.access((next() % 15) as u32);
+        }
+        assert_eq!(s.live.len() * 64, MIN_SLOTS);
+        assert_eq!(s.sealed.len(), MIN_SLOTS / 64 + 1);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 
 use napel_ir::{Inst, Opcode};
 
-use crate::reuse::{ReuseAnalyzer, ReuseHistogram, NUM_BUCKETS};
+use crate::reuse::{Interner, ReuseAnalyzer, ReuseHistogram, NUM_BUCKETS};
 
 /// Address granularity for reuse/traffic tracking.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -33,9 +33,13 @@ impl Granularity {
 }
 
 /// Per-granularity read/write/combined reuse tracking for memory accesses.
+///
+/// One interner maps each granule to a dense id (in first-touch order) that
+/// all three trackers share, so an access costs one hash probe.
 #[derive(Debug, Clone)]
 pub struct TrafficAnalyzer {
     granularity: Granularity,
+    granules: Interner,
     reads: ReuseAnalyzer,
     writes: ReuseAnalyzer,
     all: ReuseAnalyzer,
@@ -46,23 +50,31 @@ impl TrafficAnalyzer {
     pub fn new(granularity: Granularity) -> Self {
         TrafficAnalyzer {
             granularity,
+            granules: Interner::default(),
             reads: ReuseAnalyzer::new(),
             writes: ReuseAnalyzer::new(),
             all: ReuseAnalyzer::new(),
         }
     }
 
-    /// Observes one instruction (non-memory instructions are ignored).
-    #[inline]
-    pub fn observe(&mut self, inst: &Inst) {
-        let Some(addr) = inst.mem_addr() else { return };
-        let key = addr >> self.granularity.shift();
-        match inst.op {
-            Opcode::Load => self.reads.access(key),
-            Opcode::Store => self.writes.access(key),
-            _ => return,
+    /// Observes one instruction, returning the granule id of a load or
+    /// store with an address; other instructions are ignored.
+    #[inline(always)]
+    pub fn observe(&mut self, inst: &Inst) -> Option<u32> {
+        let addr = inst.mem_addr()?;
+        let is_store = match inst.op {
+            Opcode::Load => false,
+            Opcode::Store => true,
+            _ => return None,
+        };
+        let id = self.granules.intern(addr >> self.granularity.shift());
+        if is_store {
+            self.writes.access(id);
+        } else {
+            self.reads.access(id);
         }
-        self.all.access(key);
+        self.all.access(id);
+        Some(id)
     }
 
     /// Reuse histogram of reads.

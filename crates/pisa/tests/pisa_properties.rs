@@ -6,8 +6,11 @@ use napel_ir::{Emitter, MultiTrace};
 use napel_pisa::reuse::StackDistance;
 use napel_pisa::ApplicationProfile;
 
+#[allow(dead_code)]
+mod oracle;
+
 /// O(n²) reference stack distance.
-fn naive_distance(keys: &[u64], i: usize) -> Option<u64> {
+fn naive_distance(keys: &[u32], i: usize) -> Option<u64> {
     let k = keys[i];
     let prev = keys[..i].iter().rposition(|&p| p == k)?;
     let mut set = std::collections::HashSet::new();
@@ -19,12 +22,15 @@ fn naive_distance(keys: &[u64], i: usize) -> Option<u64> {
 
 proptest! {
     #[test]
-    fn stack_distance_matches_naive(keys in prop::collection::vec(0u64..30, 1..300)) {
+    fn stack_distance_matches_naive_and_oracle(keys in prop::collection::vec(0u32..30, 1..300)) {
         let mut s = StackDistance::new();
+        let mut o = oracle::StackDistance::new();
         for i in 0..keys.len() {
-            prop_assert_eq!(s.access(keys[i]), naive_distance(&keys, i), "at access {}", i);
+            let d = s.access(keys[i]);
+            prop_assert_eq!(d, naive_distance(&keys, i), "at access {}", i);
+            prop_assert_eq!(d, o.access(u64::from(keys[i])), "at access {}", i);
         }
-        let distinct: std::collections::HashSet<u64> = keys.iter().copied().collect();
+        let distinct: std::collections::HashSet<u32> = keys.iter().copied().collect();
         prop_assert_eq!(s.distinct(), distinct.len());
     }
 

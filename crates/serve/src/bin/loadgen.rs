@@ -61,7 +61,7 @@ struct Args {
     shutdown: bool,
 }
 
-fn parse_args() -> Args {
+fn parse_args() -> Result<Args, String> {
     let mut addr = None;
     let mut models = std::path::PathBuf::from("models");
     let mut mode = "steady".to_string();
@@ -76,42 +76,41 @@ fn parse_args() -> Args {
     let mut shutdown = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        let mut value = |what: &str| args.next().unwrap_or_else(|| panic!("{arg} needs {what}"));
+        let mut value = |what: &str| args.next().ok_or_else(|| format!("{arg} needs {what}"));
         match arg.as_str() {
             "--addr" => {
-                let raw = value("host:port");
+                let raw = value("host:port")?;
                 addr = Some(
                     raw.to_socket_addrs()
-                        .unwrap_or_else(|e| panic!("--addr `{raw}`: {e}"))
+                        .map_err(|e| format!("--addr `{raw}`: {e}"))?
                         .next()
-                        .unwrap_or_else(|| panic!("--addr `{raw}` resolves to nothing")),
+                        .ok_or_else(|| format!("--addr `{raw}` resolves to nothing"))?,
                 );
             }
-            "--models" => models = value("a directory").into(),
-            "--mode" => mode = value("steady|overload|chaos"),
+            "--models" => models = value("a directory")?.into(),
+            "--mode" => mode = value("steady|overload|chaos")?,
             "--clients" => {
-                clients = value("a comma-separated list")
+                clients = value("a comma-separated list")?
                     .split(',')
-                    .map(|t| t.trim().parse().unwrap_or_else(|_| panic!("bad --clients")))
-                    .collect();
+                    .map(|t| parse_num(&arg, t.trim()))
+                    .collect::<Result<_, _>>()?;
             }
-            "--requests" => requests = value("a count").parse().expect("--requests"),
-            "--window" => window = value("a count").parse().expect("--window"),
-            "--seed" => seed = value("a number").parse().expect("--seed"),
-            "--stall-ms" => stall_ms = value("millis").parse().expect("--stall-ms"),
-            "--slow-ms" => slow_ms = value("millis").parse().expect("--slow-ms"),
-            "--out" => out = Some(value("a path")),
+            "--requests" => requests = parse_num(&arg, &value("a count")?)?,
+            "--window" => window = parse_num(&arg, &value("a count")?)?,
+            "--seed" => seed = parse_num(&arg, &value("a number")?)?,
+            "--stall-ms" => stall_ms = parse_num(&arg, &value("millis")?)?,
+            "--slow-ms" => slow_ms = parse_num(&arg, &value("millis")?)?,
+            "--out" => out = Some(value("a path")?),
             "--strict" => strict = true,
             "--shutdown" => shutdown = true,
-            other => panic!("unknown flag `{other}`"),
+            other => return Err(format!("unknown flag `{other}`")),
         }
     }
-    assert!(
-        matches!(mode.as_str(), "steady" | "overload" | "chaos"),
-        "unknown --mode `{mode}`"
-    );
-    Args {
-        addr: addr.expect("loadgen needs --addr HOST:PORT"),
+    if !matches!(mode.as_str(), "steady" | "overload" | "chaos") {
+        return Err(format!("unknown --mode `{mode}`"));
+    }
+    Ok(Args {
+        addr: addr.ok_or("missing --addr HOST:PORT")?,
         models,
         mode,
         clients,
@@ -123,7 +122,12 @@ fn parse_args() -> Args {
         out,
         strict,
         shutdown,
-    }
+    })
+}
+
+fn parse_num<T: std::str::FromStr>(flag: &str, raw: &str) -> Result<T, String> {
+    raw.parse()
+        .map_err(|_| format!("{flag} must be a non-negative integer, got `{raw}`"))
 }
 
 /// What one client observed.
@@ -447,9 +451,9 @@ impl LevelReport {
 }
 
 /// Discovers model keys (bundle stems) and the feature-row width.
-fn discover_models(dir: &std::path::Path) -> (Vec<String>, usize) {
+fn discover_models(dir: &std::path::Path) -> Result<(Vec<String>, usize), String> {
     let mut keys: Vec<String> = std::fs::read_dir(dir)
-        .unwrap_or_else(|e| panic!("cannot read --models `{}`: {e}", dir.display()))
+        .map_err(|e| format!("cannot read --models `{}`: {e}", dir.display()))?
         .filter_map(Result::ok)
         .filter_map(|entry| {
             let path = entry.path();
@@ -459,24 +463,31 @@ fn discover_models(dir: &std::path::Path) -> (Vec<String>, usize) {
         })
         .collect();
     keys.sort();
-    assert!(
-        !keys.is_empty(),
-        "no .napel bundles under `{}` — train some first (fig4 --model-out)",
-        dir.display()
-    );
+    if keys.is_empty() {
+        return Err(format!(
+            "no .napel bundles under `{}` — train some first (fig4 --model-out)",
+            dir.display()
+        ));
+    }
     let first = dir.join(format!("{}.napel", keys[0]));
     let model = napel_core::model::TrainedNapel::load(&first)
-        .unwrap_or_else(|e| panic!("cannot decode `{}`: {e}", first.display()));
-    (keys, model.feature_names().len())
+        .map_err(|e| format!("cannot decode `{}`: {e}", first.display()))?;
+    Ok((keys, model.feature_names().len()))
 }
 
-fn send_shutdown(addr: SocketAddr) {
-    let mut client = ServeClient::connect(addr, CONNECT_TIMEOUT).expect("connect for --shutdown");
-    let response = client.request("shutdown sd1").expect("shutdown request");
-    assert!(response.is_ok(), "shutdown refused: {}", response.render());
+fn send_shutdown(addr: SocketAddr) -> Result<(), String> {
+    let mut client = ServeClient::connect(addr, CONNECT_TIMEOUT)
+        .map_err(|e| format!("cannot reach the server at {addr}: {e}"))?;
+    let response = client
+        .request("shutdown sd1")
+        .map_err(|e| format!("shutdown request failed: {e}"))?;
+    if !response.is_ok() {
+        return Err(format!("shutdown refused: {}", response.render()));
+    }
     // The drain closes our connection; EOF confirms it completed.
     while let Ok(Some(_)) = client.read_response() {}
     println!("loadgen: server acknowledged shutdown and drained");
+    Ok(())
 }
 
 fn fetch_server_stats(addr: SocketAddr) -> Option<String> {
@@ -489,13 +500,44 @@ fn fetch_server_stats(addr: SocketAddr) -> Option<String> {
     }
 }
 
-fn main() {
-    let args = parse_args();
-    if args.shutdown {
-        send_shutdown(args.addr);
-        return;
+/// Checks one predict end to end before unleashing threads.
+fn probe_schema(args: &Args, key: &str, nfeat: usize) -> Result<(), String> {
+    let mut client = ServeClient::connect(args.addr, CONNECT_TIMEOUT)
+        .map_err(|e| format!("cannot reach the server at {}: {e}", args.addr))?;
+    let mut rng = StdRng::seed_from_u64(args.seed);
+    let probe = client
+        .request(&format!("predict p0 {key}{}", sample_row(&mut rng, nfeat)))
+        .map_err(|e| format!("probe request failed: {e}"))?;
+    let _ = client.send_line("quit");
+    match &probe {
+        Response::Ok { payload, .. } if payload_field(payload, "ipc").is_none() => Err(format!(
+            "probe payload lacks ipc: {payload} (expected shape: {})",
+            predict_payload(0.0, 0.0, 1.0)
+        )),
+        Response::Ok { .. } => Ok(()),
+        Response::Err { .. } => Err(format!("probe predict failed: {}", probe.render())),
     }
-    let (keys, nfeat) = discover_models(&args.models);
+}
+
+fn main() {
+    if let Err(e) = parse_args().and_then(run) {
+        eprintln!("loadgen: {e}");
+        std::process::exit(1);
+    }
+}
+
+fn run(args: Args) -> Result<(), String> {
+    if args.shutdown {
+        return send_shutdown(args.addr);
+    }
+    // Fail before any traffic if the report cannot be written.
+    let out = match &args.out {
+        Some(path) => Some(
+            std::fs::File::create(path).map_err(|e| format!("cannot write --out `{path}`: {e}"))?,
+        ),
+        None => None,
+    };
+    let (keys, nfeat) = discover_models(&args.models)?;
     eprintln!(
         "loadgen: {} model(s) [{}], {} features/row, mode {}",
         keys.len(),
@@ -503,28 +545,7 @@ fn main() {
         nfeat,
         args.mode
     );
-    // Smoke-check the schema end to end before unleashing threads.
-    {
-        let mut client = ServeClient::connect(args.addr, CONNECT_TIMEOUT)
-            .unwrap_or_else(|e| panic!("cannot reach the server at {}: {e}", args.addr));
-        let mut rng = StdRng::seed_from_u64(args.seed);
-        let probe = client
-            .request(&format!(
-                "predict p0 {}{}",
-                keys[0],
-                sample_row(&mut rng, nfeat)
-            ))
-            .expect("probe request");
-        assert!(probe.is_ok(), "probe predict failed: {}", probe.render());
-        if let Response::Ok { payload, .. } = &probe {
-            assert!(
-                payload_field(payload, "ipc").is_some(),
-                "probe payload lacks ipc: {payload} (expected shape: {})",
-                predict_payload(0.0, 0.0, 1.0)
-            );
-        }
-        let _ = client.send_line("quit");
-    }
+    probe_schema(&args, &keys[0], nfeat)?;
 
     let mut levels = Vec::new();
     let mut violations = 0u64;
@@ -539,7 +560,7 @@ fn main() {
         eprintln!("loadgen: server stats: {stats}");
     }
 
-    if let Some(path) = &args.out {
+    if let (Some(mut file), Some(path)) = (out, &args.out) {
         let runs = levels
             .iter()
             .map(LevelReport::to_json)
@@ -557,14 +578,17 @@ fn main() {
             None => json.push_str("null"),
         }
         let _ = writeln!(json, ",\"runs\":[{runs}]}}");
-        std::fs::write(path, json).unwrap_or_else(|e| panic!("cannot write --out `{path}`: {e}"));
+        file.write_all(json.as_bytes())
+            .map_err(|e| format!("cannot write --out `{path}`: {e}"))?;
         eprintln!("loadgen: report written to {path}");
     }
 
     if args.strict && violations > 0 {
-        eprintln!("loadgen: STRICT FAILURE — {violations} lost request(s)/unverified probe(s)");
-        std::process::exit(1);
+        return Err(format!(
+            "STRICT FAILURE — {violations} lost request(s)/unverified probe(s)"
+        ));
     }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -31,7 +31,7 @@ struct Args {
     quiet: bool,
 }
 
-fn parse_args() -> Args {
+fn parse_args() -> Result<Args, String> {
     let mut cfg = ServerConfig::default();
     if let Some(dir) = std::env::var_os("NAPEL_MODEL_DIR") {
         cfg.model_dir = dir.into();
@@ -42,45 +42,51 @@ fn parse_args() -> Args {
     let mut quiet = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        let mut value = |what: &str| args.next().unwrap_or_else(|| panic!("{arg} needs {what}"));
+        let mut value = |what: &str| args.next().ok_or_else(|| format!("{arg} needs {what}"));
         match arg.as_str() {
-            "--models" => cfg.model_dir = value("a directory").into(),
-            "--addr" => cfg.addr = value("host:port"),
-            "--workers" => cfg.workers = parse_num(&arg, &value("a count")),
-            "--queue-cap" => cfg.queue_capacity = parse_num(&arg, &value("a count")),
-            "--max-conns" => cfg.max_connections = parse_num(&arg, &value("a count")),
+            "--models" => cfg.model_dir = value("a directory")?.into(),
+            "--addr" => cfg.addr = value("host:port")?,
+            "--workers" => cfg.workers = parse_num(&arg, &value("a count")?)?,
+            "--queue-cap" => cfg.queue_capacity = parse_num(&arg, &value("a count")?)?,
+            "--max-conns" => cfg.max_connections = parse_num(&arg, &value("a count")?)?,
             "--read-deadline-ms" => {
-                cfg.read_deadline = Duration::from_millis(parse_num(&arg, &value("millis")));
+                cfg.read_deadline = Duration::from_millis(parse_num(&arg, &value("millis")?)?);
             }
             "--compute-deadline-ms" => {
                 cfg.worker.compute_deadline =
-                    Duration::from_millis(parse_num(&arg, &value("millis")));
+                    Duration::from_millis(parse_num(&arg, &value("millis")?)?);
             }
-            "--batch-max" => cfg.worker.batch_max = parse_num(&arg, &value("a count")),
+            "--batch-max" => cfg.worker.batch_max = parse_num(&arg, &value("a count")?)?,
             "--chaos" => cfg.chaos = true,
-            "--trace-sample" => cfg.trace_sample = parse_num(&arg, &value("a count")),
-            "--trace-ring" => cfg.trace_ring = parse_num(&arg, &value("a count")),
-            "--metrics-out" => metrics_out = Some(value("a path")),
+            "--trace-sample" => cfg.trace_sample = parse_num(&arg, &value("a count")?)?,
+            "--trace-ring" => cfg.trace_ring = parse_num(&arg, &value("a count")?)?,
+            "--metrics-out" => metrics_out = Some(value("a path")?),
             "--metrics-interval-ms" => {
-                metrics_interval = Duration::from_millis(parse_num(&arg, &value("millis")));
+                metrics_interval = Duration::from_millis(parse_num(&arg, &value("millis")?)?);
             }
-            "--telemetry-out" => telemetry_out = Some(value("a path")),
+            "--telemetry-out" => telemetry_out = Some(value("a path")?),
             "--quiet" => quiet = true,
-            other => panic!("unknown flag `{other}`"),
+            other => return Err(format!("unknown flag `{other}`")),
         }
     }
-    Args {
+    Ok(Args {
         cfg,
         telemetry_out,
         metrics_out,
         metrics_interval: metrics_interval.max(Duration::from_millis(10)),
         quiet,
-    }
+    })
 }
 
-fn parse_num<T: std::str::FromStr>(flag: &str, raw: &str) -> T {
+fn parse_num<T: std::str::FromStr>(flag: &str, raw: &str) -> Result<T, String> {
     raw.parse()
-        .unwrap_or_else(|_| panic!("{flag}: `{raw}` is not a valid value"))
+        .map_err(|_| format!("{flag} must be a non-negative integer, got `{raw}`"))
+}
+
+/// Prints `serve: <message>` as the one diagnostic line and exits 1.
+fn fail(message: &str) -> ! {
+    eprintln!("serve: {message}");
+    std::process::exit(1)
 }
 
 /// Writes the exposition atomically (write + rename), so a scraper
@@ -94,7 +100,7 @@ fn write_metrics_snapshot(path: &str, text: &str) {
 }
 
 fn main() {
-    let args = parse_args();
+    let args = parse_args().unwrap_or_else(|e| fail(&e));
     if args.quiet {
         napel_telemetry::log::set_max_level(Some(napel_telemetry::log::Level::Error));
     }
@@ -102,18 +108,15 @@ fn main() {
         napel_telemetry::install(napel_telemetry::Telemetry::enabled());
     }
     if !args.cfg.model_dir.is_dir() {
-        eprintln!(
-            "serve: model directory `{}` does not exist (train bundles first, e.g. \
+        fail(&format!(
+            "model directory `{}` does not exist (train bundles first, e.g. \
              `fig4 --model-out {0}`)",
             args.cfg.model_dir.display()
-        );
-        std::process::exit(1);
+        ));
     }
 
-    let server = Server::start(args.cfg.clone()).unwrap_or_else(|e| {
-        eprintln!("serve: cannot bind {}: {e}", args.cfg.addr);
-        std::process::exit(1);
-    });
+    let server = Server::start(args.cfg.clone())
+        .unwrap_or_else(|e| fail(&format!("cannot bind {}: {e}", args.cfg.addr)));
     println!("napel-serve listening on {}", server.addr());
     let _ = std::io::stdout().flush();
     napel_telemetry::info!(

@@ -15,15 +15,28 @@
 //!    and the Threaded executor, and under both trace-residency policies.
 //! 4. **Residency** — the compact encoding stays at or under 8 bytes per
 //!    instruction, at least 4× below the 32-byte materialized form.
+//! 5. **Profiler equivalence** — the observer reproduces, bit for bit, the
+//!    frozen profiler of `crates/pisa/tests/oracle` (a Fenwick tree over
+//!    every timestamp, hash maps keyed by raw addresses and registers) on
+//!    every Table 2 workload's test and level inputs and on random raw
+//!    instruction streams.
 
 use napel::core::campaign::{
     plan_jobs, ProfileCache, ResidentTrace, Serial, Threaded, TracePolicy,
 };
 use napel::core::collect::{collect_with, CollectionPlan};
-use napel::ir::{EncodedTrace, EncodedTraceSink, MultiTrace, TeeSink};
-use napel::pisa::{ApplicationProfile, ProfileObserver};
+use napel::ir::{
+    EncodedTrace, EncodedTraceSink, Inst, MultiTrace, Opcode, TeeSink, ThreadedTraceSink,
+    TraceSink, NO_ADDR, NO_REG,
+};
+use napel::pisa::{feature_names, ApplicationProfile, ProfileObserver};
 use napel::sim::{ArchConfig, NmcSystem};
 use napel::workloads::{Scale, Workload};
+use proptest::prelude::*;
+
+#[allow(dead_code)]
+#[path = "../crates/pisa/tests/oracle/mod.rs"]
+mod oracle;
 
 /// Each workload's test-input trace at test scale, materialized once.
 fn test_trace(w: Workload) -> MultiTrace {
@@ -41,17 +54,7 @@ fn streaming_profile_is_bit_identical_for_every_workload() {
         w.generate_into(&params, Scale::tiny(), &mut observer);
         let streamed = observer.finish();
 
-        assert_eq!(of.values().len(), streamed.values().len(), "{w}");
-        for (name, (a, b)) in napel::pisa::feature_names()
-            .iter()
-            .zip(of.values().iter().zip(streamed.values()))
-        {
-            assert_eq!(
-                a.to_bits(),
-                b.to_bits(),
-                "{w}: feature `{name}` differs ({a} vs {b})"
-            );
-        }
+        assert_bit_identical(streamed.values(), of.values(), w.name());
     }
 }
 
@@ -94,9 +97,7 @@ fn single_pass_tee_matches_two_pass_for_every_workload() {
 
         assert_eq!(enc.decode(), trace, "{w}: encoded trace must round-trip");
         let of = ApplicationProfile::of(&trace);
-        for (a, b) in of.values().iter().zip(profile.values()) {
-            assert_eq!(a.to_bits(), b.to_bits(), "{w}");
-        }
+        assert_bit_identical(profile.values(), of.values(), w.name());
     }
 }
 
@@ -166,5 +167,125 @@ fn campaign_rows_are_identical_across_executors_and_policies() {
             .expect("schema");
             assert_eq!(&run, expected, "{policy:?} {}", job.describe());
         }
+    }
+}
+
+/// Asserts two feature vectors equal by `to_bits`, naming the first
+/// differing feature.
+fn assert_bit_identical(got: &[f64], want: &[f64], what: &str) {
+    assert_eq!(got.len(), want.len(), "{what}");
+    for (name, (a, b)) in feature_names().iter().zip(got.iter().zip(want)) {
+        assert_eq!(
+            a.to_bits(),
+            b.to_bits(),
+            "{what}: feature `{name}` differs ({a} vs {b})"
+        );
+    }
+}
+
+/// Streams `w` at `params` into the observer and the frozen oracle at
+/// once and compares the two profiles bit for bit.
+fn assert_matches_oracle(w: Workload, params: &[f64], what: &str) {
+    let mut observer = ProfileObserver::new();
+    let mut frozen = oracle::Observer::new();
+    w.generate_into(
+        params,
+        Scale::tiny(),
+        &mut TeeSink::new(&mut observer, &mut frozen),
+    );
+    assert_bit_identical(observer.finish().values(), &frozen.assemble(), what);
+}
+
+/// Every parameter of `w` at Table 2 level `level` (0 = minimum).
+fn all_at_level(w: Workload, level: usize) -> Vec<f64> {
+    w.spec().params.iter().map(|p| p.levels[level]).collect()
+}
+
+/// The applications whose upper levels emit millions of instructions.
+const HEAVY: [Workload; 3] = [Workload::Bfs, Workload::Bp, Workload::Kme];
+
+#[test]
+fn observer_matches_the_frozen_profiler_on_test_and_level_inputs() {
+    for w in Workload::ALL {
+        assert_matches_oracle(w, &w.spec().test_values(), &format!("{w} test input"));
+        let levels = if HEAVY.contains(&w) { 0..2 } else { 0..5 };
+        for level in levels {
+            assert_matches_oracle(w, &all_at_level(w, level), &format!("{w} level {level}"));
+        }
+    }
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "release: CI profiler equivalence")]
+fn observer_matches_the_frozen_profiler_on_heavy_upper_levels() {
+    for w in HEAVY {
+        for level in 2..5 {
+            assert_matches_oracle(w, &all_at_level(w, level), &format!("{w} level {level}"));
+        }
+    }
+}
+
+/// One raw instruction from a generated script entry: the shapes an
+/// `Emitter` makes plus ones it never does (a load without an address, a
+/// compute op carrying one, a register id near `u32::MAX`).
+fn raw_inst((kind, pc, dst, src, addr): (u8, u32, u32, u32, u64)) -> Inst {
+    // Registers: mostly small ids, some past the dense table's reach.
+    let reg = |r: u32| match r % 16 {
+        0 => u32::MAX - 1,
+        1 => NO_REG,
+        2 => 1 << 20 | r,
+        _ => r % 2048,
+    };
+    // Addresses: low, near the top of the address space, and scattered.
+    let addr = match addr % 3 {
+        0 => (addr >> 2) % 512 * 8,
+        1 => u64::MAX - 1 - (addr >> 2) % 512 * 8,
+        _ => addr.rotate_left(29) | 1,
+    };
+    let srcs = [reg(src), reg(src.rotate_left(7))];
+    match kind {
+        0 => Inst::load(pc, addr, 8, reg(dst), srcs[1]),
+        1 => Inst::store(pc, addr, 4, srcs[0], srcs[1]),
+        2 => Inst::compute(pc, Opcode::FpMul, reg(dst), srcs),
+        3 => Inst::compute(pc, Opcode::IntAlu, reg(dst), srcs),
+        4 => Inst::compute(pc, Opcode::Branch, NO_REG, [srcs[0], NO_REG]),
+        5 => Inst::load(pc, NO_ADDR, 8, reg(dst), NO_REG),
+        6 => Inst {
+            addr,
+            ..Inst::compute(pc, Opcode::IntAlu, reg(dst), srcs)
+        },
+        _ => Inst::store(pc, NO_ADDR, 8, srcs[0], NO_REG),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+    #[test]
+    fn observer_matches_the_frozen_profiler_on_raw_streams(
+        threads in 1usize..5,
+        script in prop::collection::vec(
+            (0u8..8, 0u32..24, any::<u32>(), any::<u32>(), any::<u64>()),
+            0..600,
+        ),
+    ) {
+        // Threads take turns through the script, so they share registers,
+        // addresses and pcs the way real threads of one kernel do.
+        let mut trace = MultiTrace::new(threads);
+        for (i, &entry) in script.iter().enumerate() {
+            trace.thread_sink(i % threads).record(raw_inst(entry));
+        }
+        let mut observer = ProfileObserver::new();
+        observer.begin(threads);
+        for (t, lane) in trace.iter().enumerate() {
+            for inst in lane.iter() {
+                observer.record(t, *inst);
+            }
+        }
+        assert_bit_identical(
+            observer.finish().values(),
+            &oracle::profile(&trace),
+            &format!("{threads} threads, {} insts", script.len()),
+        );
     }
 }
