@@ -3,34 +3,32 @@
 //! weighted ensemble vs the plain forest, and the active-DoE
 //! accuracy-vs-budget curve.
 
-use napel_bench::Options;
+use napel_bench::{exit_with_error, Options};
 use napel_core::experiments::ablation;
 use napel_workloads::Workload;
 
-fn main() {
-    let opts = Options::from_env();
-    opts.init_telemetry();
+fn run(opts: &Options) -> Result<(), String> {
     let exec = opts.executor();
     let apps = opts.workloads();
 
     napel_telemetry::info!("running sampler ablation ({:?})...", opts.scale);
     let io = opts.model_io();
     let samplers = ablation::sampler_ablation_io(&apps, opts.scale, opts.seed, &io, &exec)
-        .expect("sampler ablation");
+        .map_err(|e| format!("sampler ablation failed: {e}"))?;
 
     napel_telemetry::info!("running forest-size sweep...");
     let set = ablation::collect_with_sampler(&apps, ablation::Sampler::Ccd, opts.scale, opts.seed)
-        .expect("CCD collection");
+        .map_err(|e| format!("CCD collection failed: {e}"))?;
     let sweep =
         ablation::forest_size_sweep_io(&set, &[10, 30, 60, 120, 240], opts.seed, &io, &exec)
-            .expect("forest sweep");
+            .map_err(|e| format!("forest sweep failed: {e}"))?;
 
     println!("Ablations: training-point sampler and forest size\n");
     print!("{}", ablation::render(&samplers, &sweep));
 
     napel_telemetry::info!("running feature-screening ablation...");
     let screening = ablation::screening_ablation_io(&set, &[10, 30, 100], opts.seed, &io, &exec)
-        .expect("screening");
+        .map_err(|e| format!("screening ablation failed: {e}"))?;
     println!("\nFeature screening (top-k by permutation importance):");
     for p in &screening {
         let kept = if p.kept == usize::MAX {
@@ -79,15 +77,15 @@ fn main() {
     }
 
     napel_telemetry::info!("running the ensemble-vs-forest comparison...");
-    let comparison =
-        ablation::ensemble_vs_forest_io(&set, opts.seed, &io, &exec).expect("ensemble comparison");
+    let comparison = ablation::ensemble_vs_forest_io(&set, opts.seed, &io, &exec)
+        .map_err(|e| format!("ensemble comparison failed: {e}"))?;
     println!("\nweighted ensemble vs plain forest (LOAO):");
     print!("{}", ablation::render_ensemble(&comparison));
 
     napel_telemetry::info!("running the accuracy-vs-budget curve...");
     let budgets = opts.budget_list(&[5, 7, 9]);
     let curve = ablation::budget_curve_io(&apps, opts.scale, &budgets, opts.seed, &io, &exec)
-        .expect("budget curve");
+        .map_err(|e| format!("budget curve failed: {e}"))?;
     println!("\naccuracy vs simulation budget (plain CCD prefix vs active sampling):");
     print!("{}", ablation::render_budget_curve(&curve));
     let verdict = if curve.active_no_worse(0.05) {
@@ -96,6 +94,14 @@ fn main() {
         "FAIL (active sampling worse than the CCD prefix)"
     };
     println!("active-doe verdict: {verdict}");
+    Ok(())
+}
 
+fn main() {
+    let opts = Options::from_env();
+    opts.init_telemetry();
+    if let Err(message) = run(&opts) {
+        exit_with_error("ablation", &message);
+    }
     opts.finish_telemetry();
 }

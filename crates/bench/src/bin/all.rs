@@ -1,12 +1,10 @@
 //! Runs every table and figure in sequence, printing the full evaluation.
 
-use napel_bench::{announce_report, Options};
+use napel_bench::{announce_report, exit_with_error, Options};
 use napel_core::experiments::{fig4, fig5, fig6, fig7, table2, table3, table4, Context};
 use napel_workloads::Workload;
 
-fn main() {
-    let opts = Options::from_env();
-    opts.init_telemetry();
+fn run(opts: &Options) -> Result<(), String> {
     let exec = opts.executor();
     println!("== Table 2 ==\n{}", table2::render());
     println!("== Table 3 ==\n{}", table3::render(opts.scale));
@@ -14,20 +12,21 @@ fn main() {
     napel_telemetry::info!("collecting training data ({:?})...", opts.scale);
     let (ctx, report) =
         Context::build_supervised(opts.scale, opts.seed, &exec, &opts.campaign_options())
-            .unwrap_or_else(|e| panic!("collection campaign failed: {e}"));
+            .map_err(|e| format!("collection campaign failed: {e}"))?;
     announce_report(&report);
     let cfg = opts.napel_config();
 
     napel_telemetry::info!("table 4...");
-    let t4 = table4::run_with(&ctx, &cfg, &exec).expect("table 4");
+    let t4 = table4::run_with(&ctx, &cfg, &exec).map_err(|e| format!("table 4 failed: {e}"))?;
     println!("== Table 4 ==\n{}", table4::render(&t4));
 
     napel_telemetry::info!("figure 4...");
-    let f4 = fig4::run_with(&ctx, &cfg, opts.configs, &exec).expect("fig 4");
+    let f4 = fig4::run_with(&ctx, &cfg, opts.configs, &exec)
+        .map_err(|e| format!("fig 4 failed: {e}"))?;
     println!("== Figure 4 ==\n{}", fig4::render(&f4));
 
     napel_telemetry::info!("figure 5...");
-    let f5 = fig5::run_with(&ctx, &exec).expect("fig 5");
+    let f5 = fig5::run_with(&ctx, &exec).map_err(|e| format!("fig 5 failed: {e}"))?;
     println!("== Figure 5 ==\n{}", fig5::render(&f5));
 
     napel_telemetry::info!("figure 6...");
@@ -35,7 +34,16 @@ fn main() {
     println!("== Figure 6 ==\n{}", fig6::render(&f6));
 
     napel_telemetry::info!("figure 7...");
-    let f7 = fig7::run_with(&ctx, &cfg, &exec).expect("fig 7");
+    let f7 = fig7::run_with(&ctx, &cfg, &exec).map_err(|e| format!("fig 7 failed: {e}"))?;
     println!("== Figure 7 ==\n{}", fig7::render(&f7));
+    Ok(())
+}
+
+fn main() {
+    let opts = Options::from_env();
+    opts.init_telemetry();
+    if let Err(message) = run(&opts) {
+        exit_with_error("all", &message);
+    }
     opts.finish_telemetry();
 }

@@ -1,17 +1,15 @@
 //! Regenerates Figure 4 (NAPEL prediction speedup over simulation for a
 //! design-space sweep of architecture configurations).
 
-use napel_bench::{announce_report, Options};
+use napel_bench::{announce_report, exit_with_error, Options};
 use napel_core::experiments::{fig4, Context};
 
-fn main() {
-    let opts = Options::from_env();
-    opts.init_telemetry();
+fn run(opts: &Options) -> Result<(), String> {
     let exec = opts.executor();
     napel_telemetry::info!("collecting training data ({:?})...", opts.scale);
     let (ctx, report) =
         Context::build_supervised(opts.scale, opts.seed, &exec, &opts.campaign_options())
-            .unwrap_or_else(|e| panic!("collection campaign failed: {e}"));
+            .map_err(|e| format!("collection campaign failed: {e}"))?;
     announce_report(&report);
     napel_telemetry::info!("timing {} configurations per application...", opts.configs);
     let rows = fig4::run_with_io(
@@ -21,8 +19,17 @@ fn main() {
         &opts.model_io(),
         &exec,
     )
-    .expect("fig 4 run");
+    .map_err(|e| format!("fig 4 run failed: {e}"))?;
     println!("Figure 4: prediction speedup over the simulator (increasing order)\n");
     print!("{}", fig4::render(&rows));
+    Ok(())
+}
+
+fn main() {
+    let opts = Options::from_env();
+    opts.init_telemetry();
+    if let Err(message) = run(&opts) {
+        exit_with_error("fig4", &message);
+    }
     opts.finish_telemetry();
 }

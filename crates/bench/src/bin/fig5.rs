@@ -1,21 +1,29 @@
 //! Regenerates Figure 5 (leave-one-application-out MRE of NAPEL vs an ANN
 //! vs a linear decision tree, for performance and energy).
 
-use napel_bench::{announce_report, Options};
+use napel_bench::{announce_report, exit_with_error, Options};
 use napel_core::experiments::{fig5, Context};
 
-fn main() {
-    let opts = Options::from_env();
-    opts.init_telemetry();
+fn run(opts: &Options) -> Result<(), String> {
     let exec = opts.executor();
     napel_telemetry::info!("collecting training data ({:?})...", opts.scale);
     let (ctx, report) =
         Context::build_supervised(opts.scale, opts.seed, &exec, &opts.campaign_options())
-            .unwrap_or_else(|e| panic!("collection campaign failed: {e}"));
+            .map_err(|e| format!("collection campaign failed: {e}"))?;
     announce_report(&report);
     napel_telemetry::info!("running leave-one-application-out comparisons...");
-    let result = fig5::run_with_io(&ctx, &opts.model_io(), &exec).expect("fig 5 run");
+    let result = fig5::run_with_io(&ctx, &opts.model_io(), &exec)
+        .map_err(|e| format!("fig 5 run failed: {e}"))?;
     println!("Figure 5: mean relative error, performance (a) and energy (b)\n");
     print!("{}", fig5::render(&result));
+    Ok(())
+}
+
+fn main() {
+    let opts = Options::from_env();
+    opts.init_telemetry();
+    if let Err(message) = run(&opts) {
+        exit_with_error("fig5", &message);
+    }
     opts.finish_telemetry();
 }

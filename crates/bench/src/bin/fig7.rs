@@ -1,22 +1,29 @@
 //! Regenerates Figure 7 (estimated EDP reduction of NMC offloading vs the
 //! host; NAPEL prediction next to the simulator's "Actual").
 
-use napel_bench::{announce_report, Options};
+use napel_bench::{announce_report, exit_with_error, Options};
 use napel_core::experiments::{fig7, Context};
 
-fn main() {
-    let opts = Options::from_env();
-    opts.init_telemetry();
+fn run(opts: &Options) -> Result<(), String> {
     let exec = opts.executor();
     napel_telemetry::info!("collecting training data ({:?})...", opts.scale);
     let (ctx, report) =
         Context::build_supervised(opts.scale, opts.seed, &exec, &opts.campaign_options())
-            .unwrap_or_else(|e| panic!("collection campaign failed: {e}"));
+            .map_err(|e| format!("collection campaign failed: {e}"))?;
     announce_report(&report);
     napel_telemetry::info!("running the NMC-suitability analysis...");
-    let result =
-        fig7::run_with_io(&ctx, &opts.napel_config(), &opts.model_io(), &exec).expect("fig 7 run");
+    let result = fig7::run_with_io(&ctx, &opts.napel_config(), &opts.model_io(), &exec)
+        .map_err(|e| format!("fig 7 run failed: {e}"))?;
     println!("Figure 7: EDP reduction of NMC offloading vs host execution\n");
     print!("{}", fig7::render(&result));
+    Ok(())
+}
+
+fn main() {
+    let opts = Options::from_env();
+    opts.init_telemetry();
+    if let Err(message) = run(&opts) {
+        exit_with_error("fig7", &message);
+    }
     opts.finish_telemetry();
 }

@@ -6,27 +6,29 @@
 //! relationships to be identified" — this binary shows which of them the
 //! forest actually leans on.
 
-use napel_bench::Options;
+use napel_bench::{exit_with_error, Options};
 use napel_core::collect::{collect, CollectionPlan};
 use napel_ml::log_space::LogOf;
 use napel_ml::Estimator;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn main() {
-    let opts = Options::from_env();
-    opts.init_telemetry();
+fn run(opts: &Options) -> Result<(), String> {
     napel_telemetry::info!("collecting training data ({:?})...", opts.scale);
     let set = collect(&CollectionPlan {
         scale: opts.scale,
         ..Default::default()
     });
-    let data = set.ipc_dataset().expect("dataset");
+    let data = set
+        .ipc_dataset()
+        .map_err(|e| format!("training set is not a dataset: {e}"))?;
 
     napel_telemetry::info!("training and computing permutation importance...");
     let mut rng = StdRng::seed_from_u64(opts.seed);
     let est = LogOf(napel_core::experiments::fig5::napel_estimator());
-    let model = est.fit(&data, &mut rng).expect("fit");
+    let model = est
+        .fit(&data, &mut rng)
+        .map_err(|e| format!("forest fit failed: {e}"))?;
     let importances = model.inner().permutation_importance(&data, &mut rng);
 
     let mut ranked: Vec<(usize, f64)> = importances.iter().copied().enumerate().collect();
@@ -50,5 +52,14 @@ fn main() {
         dead,
         importances.len()
     );
+    Ok(())
+}
+
+fn main() {
+    let opts = Options::from_env();
+    opts.init_telemetry();
+    if let Err(message) = run(&opts) {
+        exit_with_error("importance", &message);
+    }
     opts.finish_telemetry();
 }

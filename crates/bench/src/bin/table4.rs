@@ -2,22 +2,29 @@
 //! times). Times are seconds on this substrate; the paper reports minutes
 //! on a server — see EXPERIMENTS.md for the side-by-side.
 
-use napel_bench::{announce_report, Options};
+use napel_bench::{announce_report, exit_with_error, Options};
 use napel_core::experiments::{table4, Context};
 
-fn main() {
-    let opts = Options::from_env();
-    opts.init_telemetry();
+fn run(opts: &Options) -> Result<(), String> {
     let exec = opts.executor();
     napel_telemetry::info!("collecting training data ({:?})...", opts.scale);
     let (ctx, report) =
         Context::build_supervised(opts.scale, opts.seed, &exec, &opts.campaign_options())
-            .unwrap_or_else(|e| panic!("collection campaign failed: {e}"));
+            .map_err(|e| format!("collection campaign failed: {e}"))?;
     announce_report(&report);
     napel_telemetry::info!("running per-application timings...");
     let rows = table4::run_with_io(&ctx, &opts.napel_config(), &opts.model_io(), &exec)
-        .expect("table 4 run");
+        .map_err(|e| format!("table 4 run failed: {e}"))?;
     println!("Table 4: DoE configurations and training/prediction time\n");
     print!("{}", table4::render(&rows));
+    Ok(())
+}
+
+fn main() {
+    let opts = Options::from_env();
+    opts.init_telemetry();
+    if let Err(message) = run(&opts) {
+        exit_with_error("table4", &message);
+    }
     opts.finish_telemetry();
 }

@@ -174,6 +174,12 @@ impl Options {
                 other => return Err(format!("unknown flag `{other}`")),
             }
         }
+        // Fail before any collection, not after it.
+        if let Some(path) = &opts.model_in {
+            if !Path::new(path).exists() {
+                return Err(format!("--model-in `{path}` does not exist"));
+            }
+        }
         Ok(opts)
     }
 
@@ -426,10 +432,19 @@ mod tests {
 
     #[test]
     fn model_flags_build_the_io_policy() {
-        let o = parse(&["--model-out", "/tmp/models", "--model-in", "/tmp/stored"]);
+        let stored = std::env::temp_dir();
+        let o = parse(&[
+            "--model-out",
+            "/tmp/models",
+            "--model-in",
+            stored.to_str().unwrap(),
+        ]);
         let io = o.model_io();
         assert_eq!(io.save_dir(), Some(std::path::Path::new("/tmp/models")));
-        assert_eq!(io.load_dir(), Some(std::path::Path::new("/tmp/stored")));
+        assert_eq!(io.load_dir(), Some(stored.as_path()));
+
+        let err = try_parse(&["--model-in", "/nonexistent/napel/models"]).unwrap_err();
+        assert_eq!(err, "--model-in `/nonexistent/napel/models` does not exist");
 
         let o = parse(&[]);
         if std::env::var_os("NAPEL_MODEL_DIR").is_none() {

@@ -119,6 +119,30 @@ fn bad_flags_and_input_are_one_line_failures_in_every_driver() {
 }
 
 #[test]
+fn missing_model_in_fails_before_collection_in_every_driver() {
+    let missing = "/nonexistent/napel/models";
+    let drivers = [
+        ("fig4", env!("CARGO_BIN_EXE_fig4")),
+        ("fig5", env!("CARGO_BIN_EXE_fig5")),
+        ("fig7", env!("CARGO_BIN_EXE_fig7")),
+        ("table4", env!("CARGO_BIN_EXE_table4")),
+        ("ablation", env!("CARGO_BIN_EXE_ablation")),
+    ];
+    for (bin, exe) in drivers {
+        let output = Command::new(exe)
+            .args(["--quick", "--scale", "tiny", "--model-in", missing])
+            .output()
+            .expect("spawn");
+        assert_bin_failure(
+            &output,
+            bin,
+            "--model-in `/nonexistent/napel/models` does not exist",
+        );
+        assert!(output.stdout.is_empty(), "{bin} printed before failing");
+    }
+}
+
+#[test]
 fn missing_bundle_file_is_a_one_line_failure() {
     let output = predict(&["--model-in", "/nonexistent/models/nope.napel"]);
     assert_one_line_failure(&output, "nope.napel");

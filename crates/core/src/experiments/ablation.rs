@@ -373,7 +373,8 @@ pub fn collect_active(
                             combined_features(&ApplicationProfile::of(&trace), &arch)
                         })
                         .collect();
-                    Some(model.inner().prediction_std_many(&rows))
+                    let spreads = model.inner().predict_with_spread(&rows);
+                    Some(spreads.into_iter().map(|(_, spread)| spread).collect())
                 };
                 // A surrogate that cannot fit (degenerate rows) scores
                 // everything equally: the round degrades to the pool's

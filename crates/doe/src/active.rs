@@ -6,7 +6,7 @@
 //! [`crate::ccd`]), [`active_augment`] repeatedly drafts a Latin-hypercube
 //! candidate pool and adds the candidate with the highest caller-supplied
 //! uncertainty score — for NAPEL, the per-tree spread of the trained
-//! random forest (`prediction_std_many`), though this crate stays agnostic
+//! random forest (`predict_with_spread`), though this crate stays agnostic
 //! to where scores come from so it does not depend on `napel-ml`.
 
 use rand::Rng;

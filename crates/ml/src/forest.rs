@@ -188,54 +188,61 @@ impl RandomForest {
         self.oob_mse
     }
 
-    /// Per-tree predictions for one input (useful for uncertainty bands).
-    /// Empty for a zero-tree forest (unreachable via [`Estimator::fit`],
-    /// which rejects `num_trees == 0`).
-    pub fn tree_predictions(&self, x: &[f64]) -> Vec<f64> {
-        self.trees.iter().map(|t| t.predict_one(x)).collect()
+    /// The forest's prediction and the spread of its trees for every row:
+    /// the mean of the per-tree predictions and their population standard
+    /// deviation, a cheap epistemic-uncertainty proxy. Both come from one
+    /// walk of each tree per row. A zero-tree forest reports a spread of
+    /// `0.0` rather than NaN; such a forest cannot come from
+    /// [`Estimator::fit`] (it rejects `num_trees == 0`) or from
+    /// deserialization (the decoder rejects it), so this is defense in
+    /// depth.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a row has the wrong number of features.
+    pub fn predict_with_spread(&self, rows: &[Vec<f64>]) -> Vec<(f64, f64)> {
+        let mut out = Vec::with_capacity(rows.len());
+        self.walk(rows, |preds| {
+            let mean = mean(preds);
+            let spread = if preds.is_empty() {
+                0.0
+            } else {
+                (preds.iter().map(|p| (p - mean).powi(2)).sum::<f64>() / preds.len() as f64).sqrt()
+            };
+            out.push((mean, spread));
+        });
+        out
     }
 
-    /// Standard deviation of per-tree predictions — a cheap epistemic
-    /// uncertainty proxy. A zero-tree forest yields `0.0` rather than NaN;
-    /// such a forest cannot come from [`Estimator::fit`] (it rejects
-    /// `num_trees == 0`) or from deserialization (the decoder rejects it),
-    /// so this is defense in depth.
-    pub fn prediction_std(&self, x: &[f64]) -> f64 {
-        let preds = self.tree_predictions(x);
-        if preds.is_empty() {
-            return 0.0;
-        }
-        let mean = preds.iter().sum::<f64>() / preds.len() as f64;
-        (preds.iter().map(|p| (p - mean).powi(2)).sum::<f64>() / preds.len() as f64).sqrt()
-    }
-
-    /// Batched [`Self::prediction_std`]: mean and spread of the per-tree
-    /// predictions for every row in one pass over the forest. Each tree is
-    /// fetched once and walked across all rows (cache-friendly for wide
-    /// batches), instead of re-walking the whole ensemble per row the way
-    /// a `prediction_std` loop would. Per row the arithmetic is identical
-    /// to [`Self::prediction_std`] — per-tree predictions accumulated in
-    /// tree order, then the population standard deviation — so results are
-    /// bit-identical to the per-row path.
-    pub fn prediction_std_many(&self, rows: &[Vec<f64>]) -> Vec<f64> {
-        if self.trees.is_empty() {
-            return vec![0.0; rows.len()];
-        }
-        // Transposed accumulation: per_row[i] collects tree predictions in
-        // tree order, matching what `tree_predictions` would build row-wise.
-        let mut per_row: Vec<Vec<f64>> = vec![Vec::with_capacity(self.trees.len()); rows.len()];
-        for tree in &self.trees {
-            for (preds, x) in per_row.iter_mut().zip(rows) {
-                preds.push(tree.predict_one(x));
+    /// Walks every tree once per row and hands `emit` each row's per-tree
+    /// predictions in tree order. Rows go in blocks of [`BLOCK_ROWS`]; each
+    /// tree is walked over the whole block before the next tree, four rows
+    /// side by side.
+    fn walk<R: AsRef<[f64]>>(&self, rows: &[R], mut emit: impl FnMut(&[f64])) {
+        let trees = self.trees.len();
+        let mut preds = vec![0.0; rows.len().min(BLOCK_ROWS) * trees];
+        for block in rows.chunks(BLOCK_ROWS) {
+            let xs: Vec<&[f64]> = block.iter().map(AsRef::as_ref).collect();
+            for x in &xs {
+                assert_eq!(x.len(), self.num_features, "feature count mismatch");
+            }
+            for (t, tree) in self.trees.iter().enumerate() {
+                // Row r's prediction of tree t lands at `r * trees + t`.
+                let fours = xs.len() / 4 * 4;
+                for r in (0..fours).step_by(4) {
+                    let leaves = tree.leaves([xs[r], xs[r + 1], xs[r + 2], xs[r + 3]]);
+                    for (k, v) in leaves.into_iter().enumerate() {
+                        preds[(r + k) * trees + t] = v;
+                    }
+                }
+                for (r, x) in xs.iter().enumerate().skip(fours) {
+                    preds[r * trees + t] = tree.leaves([*x])[0];
+                }
+            }
+            for r in 0..block.len() {
+                emit(&preds[r * trees..(r + 1) * trees]);
             }
         }
-        per_row
-            .iter()
-            .map(|preds| {
-                let mean = preds.iter().sum::<f64>() / preds.len() as f64;
-                (preds.iter().map(|p| (p - mean).powi(2)).sum::<f64>() / preds.len() as f64).sqrt()
-            })
-            .collect()
     }
 
     /// Permutation feature importance on `data`: the increase in MSE when
@@ -266,9 +273,26 @@ impl RandomForest {
 
 impl Regressor for RandomForest {
     fn predict_one(&self, x: &[f64]) -> f64 {
-        assert_eq!(x.len(), self.num_features, "feature count mismatch");
-        self.trees.iter().map(|t| t.predict_one(x)).sum::<f64>() / self.trees.len() as f64
+        let mut out = f64::NAN;
+        self.walk(&[x], |preds| out = mean(preds));
+        out
     }
+
+    fn predict_many(&self, rows: &[Vec<f64>]) -> Vec<f64> {
+        let mut out = Vec::with_capacity(rows.len());
+        self.walk(rows, |preds| out.push(mean(preds)));
+        out
+    }
+}
+
+/// Rows per block of [`RandomForest::walk`]: bounds its scratch to
+/// `BLOCK_ROWS × trees` predictions.
+const BLOCK_ROWS: usize = 64;
+
+/// The forest's prediction from its per-tree predictions, summed in tree
+/// order.
+fn mean(preds: &[f64]) -> f64 {
+    preds.iter().sum::<f64>() / preds.len() as f64
 }
 
 fn mse(pred: &[f64], actual: &[f64]) -> f64 {
@@ -325,9 +349,12 @@ mod tests {
         .fit(&d, &mut rng())
         .unwrap();
         let x = d.row(5);
-        let preds = f.tree_predictions(x);
-        let mean = preds.iter().sum::<f64>() / preds.len() as f64;
-        assert!((f.predict_one(x) - mean).abs() < 1e-12);
+        let mean = f.trees.iter().map(|t| t.predict_one(x)).sum::<f64>() / 9.0;
+        assert_eq!(f.predict_one(x).to_bits(), mean.to_bits());
+        assert_eq!(
+            f.predict_with_spread(&[x.to_vec()])[0].0.to_bits(),
+            mean.to_bits()
+        );
         assert_eq!(f.num_trees(), 9);
     }
 
@@ -406,43 +433,28 @@ mod tests {
     #[test]
     fn zero_tree_forest_uncertainty_is_zero_not_nan() {
         // Unreachable through fit/decode, but constructible in principle;
-        // the uncertainty accessors must stay well-defined.
+        // the spread must stay well-defined.
         let f = RandomForest {
             trees: vec![],
             num_features: 2,
             oob_mse: None,
         };
-        assert_eq!(f.tree_predictions(&[1.0, 2.0]), Vec::<f64>::new());
-        assert_eq!(f.prediction_std(&[1.0, 2.0]), 0.0);
+        let out = f.predict_with_spread(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
+        assert_eq!(out.len(), 2);
+        assert!(out.iter().all(|&(_, spread)| spread == 0.0));
+        assert_eq!(f.predict_with_spread(&[]), Vec::new());
     }
 
     #[test]
-    fn prediction_std_many_is_bit_identical_to_per_row_path() {
-        let d = nonlinear_data();
+    #[should_panic(expected = "feature count mismatch")]
+    fn wrong_row_width_panics() {
         let f = RandomForestParams {
-            num_trees: 25,
+            num_trees: 3,
             ..Default::default()
         }
-        .fit(&d, &mut rng())
+        .fit(&nonlinear_data(), &mut rng())
         .unwrap();
-        let rows: Vec<Vec<f64>> = (0..d.len()).map(|i| d.row(i).to_vec()).collect();
-        let batched = f.prediction_std_many(&rows);
-        assert_eq!(batched.len(), rows.len());
-        for (row, b) in rows.iter().zip(&batched) {
-            assert_eq!(
-                b.to_bits(),
-                f.prediction_std(row).to_bits(),
-                "batched spread diverges from per-row spread at {row:?}"
-            );
-        }
-        // Empty batch and zero-tree forest stay well-defined.
-        assert_eq!(f.prediction_std_many(&[]), Vec::<f64>::new());
-        let empty = RandomForest {
-            trees: vec![],
-            num_features: 2,
-            oob_mse: None,
-        };
-        assert_eq!(empty.prediction_std_many(&rows[..3]), vec![0.0; 3]);
+        f.predict_many(&[vec![1.0, 2.0], vec![1.0]]);
     }
 
     #[test]
@@ -468,7 +480,7 @@ mod tests {
         }
         .fit(&d, &mut rng())
         .unwrap();
-        let std_in = f.prediction_std(&[4.0, 1.0]);
+        let (_, std_in) = f.predict_with_spread(&[vec![4.0, 1.0]])[0];
         assert!(std_in.is_finite() && std_in >= 0.0);
     }
 }

@@ -93,6 +93,14 @@ impl<M: Regressor> Regressor for LogModel<M> {
     fn predict_one(&self, x: &[f64]) -> f64 {
         self.inner.predict_one(x).exp()
     }
+
+    fn predict_many(&self, rows: &[Vec<f64>]) -> Vec<f64> {
+        let mut out = self.inner.predict_many(rows);
+        for p in &mut out {
+            *p = p.exp();
+        }
+        out
+    }
 }
 
 #[cfg(test)]

@@ -69,7 +69,7 @@ impl Estimator for ModelTreeParams {
 /// come after their parent in the arena; [`crate::persist`] relies on this
 /// invariant to validate decoded trees.
 #[derive(Debug, Clone)]
-pub(crate) enum Node {
+pub(crate) enum ModelTreeNode {
     Leaf {
         model: LeafModel,
     },
@@ -112,7 +112,7 @@ pub(crate) enum LeafModel {
 /// ```
 #[derive(Debug, Clone)]
 pub struct ModelTree {
-    nodes: Vec<Node>,
+    nodes: Vec<ModelTreeNode>,
     num_features: usize,
 }
 
@@ -126,18 +126,18 @@ impl ModelTree {
     pub fn num_leaves(&self) -> usize {
         self.nodes
             .iter()
-            .filter(|n| matches!(n, Node::Leaf { .. }))
+            .filter(|n| matches!(n, ModelTreeNode::Leaf { .. }))
             .count()
     }
 
     /// The node arena (for serialization).
-    pub(crate) fn nodes(&self) -> &[Node] {
+    pub(crate) fn nodes(&self) -> &[ModelTreeNode] {
         &self.nodes
     }
 
     /// Rebuilds a model tree from its serialized parts. The caller
     /// ([`crate::persist`]) has already validated the arena invariants.
-    pub(crate) fn from_parts(nodes: Vec<Node>, num_features: usize) -> ModelTree {
+    pub(crate) fn from_parts(nodes: Vec<ModelTreeNode>, num_features: usize) -> ModelTree {
         ModelTree {
             nodes,
             num_features,
@@ -151,13 +151,13 @@ impl Regressor for ModelTree {
         let mut i = 0;
         loop {
             match &self.nodes[i] {
-                Node::Leaf { model } => {
+                ModelTreeNode::Leaf { model } => {
                     return match model {
                         LeafModel::Linear(r) => r.predict_one(x),
                         LeafModel::Constant(c) => *c,
                     }
                 }
-                Node::Split {
+                ModelTreeNode::Split {
                     feature,
                     threshold,
                     left,
@@ -178,13 +178,13 @@ fn grow(
     params: &ModelTreeParams,
     data: &Dataset,
     rng: &mut dyn RngCore,
-    nodes: &mut Vec<Node>,
+    nodes: &mut Vec<ModelTreeNode>,
     indices: Vec<usize>,
     depth: usize,
 ) -> Result<usize, MlError> {
     if depth >= params.max_depth || indices.len() < 2 * params.min_samples_leaf {
         let idx = nodes.len();
-        nodes.push(Node::Leaf {
+        nodes.push(ModelTreeNode::Leaf {
             model: fit_leaf(params, data, &indices),
         });
         return Ok(idx);
@@ -200,7 +200,7 @@ fn grow(
     let stump = stump_params.fit(&subset, rng)?;
     let Some(&feature) = stump.used_features().first() else {
         let idx = nodes.len();
-        nodes.push(Node::Leaf {
+        nodes.push(ModelTreeNode::Leaf {
             model: fit_leaf(params, data, &indices),
         });
         return Ok(idx);
@@ -224,7 +224,7 @@ fn grow(
     }
     let Some(threshold) = threshold else {
         let idx = nodes.len();
-        nodes.push(Node::Leaf {
+        nodes.push(ModelTreeNode::Leaf {
             model: fit_leaf(params, data, &indices),
         });
         return Ok(idx);
@@ -235,19 +235,19 @@ fn grow(
         .partition(|&&i| data.row(i)[feature] <= threshold);
     if left_idx.len() < params.min_samples_leaf || right_idx.len() < params.min_samples_leaf {
         let idx = nodes.len();
-        nodes.push(Node::Leaf {
+        nodes.push(ModelTreeNode::Leaf {
             model: fit_leaf(params, data, &indices),
         });
         return Ok(idx);
     }
 
     let node = nodes.len();
-    nodes.push(Node::Leaf {
+    nodes.push(ModelTreeNode::Leaf {
         model: LeafModel::Constant(f64::NAN),
     }); // placeholder
     let left = grow(params, data, rng, nodes, left_idx, depth + 1)?;
     let right = grow(params, data, rng, nodes, right_idx, depth + 1)?;
-    nodes[node] = Node::Split {
+    nodes[node] = ModelTreeNode::Split {
         feature,
         threshold,
         left,

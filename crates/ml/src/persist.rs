@@ -16,10 +16,11 @@
 //! - **Deterministic**: the same model always encodes to the same bytes,
 //!   so artifact diffs and content hashes are meaningful.
 //! - **Versioned and validated**: every document begins with
-//!   `napel-ml-model v1`; decoding checks structural invariants (child
-//!   indices strictly increase, layer shapes chain, weight counts match
-//!   the scaler) so a corrupt or truncated document fails with a typed
-//!   [`PersistError`] instead of mispredicting or looping forever.
+//!   `napel-ml-model v1`; decoding checks structural invariants
+//!   (decision trees in pre-order, model-tree children after their
+//!   parent, layer shapes chain, weight counts match the scaler) so a
+//!   corrupt or truncated document fails with a typed [`PersistError`]
+//!   instead of mispredicting or looping forever.
 //!
 //! The format is plain whitespace-separated tokens (hand-rolled, zero-dep,
 //! like the telemetry crate's JSONL): human-greppable, trivially stable.
@@ -53,10 +54,9 @@ use crate::forest::RandomForest;
 use crate::linear::Ridge;
 use crate::log_space::LogModel;
 use crate::mlp::{Layer, Mlp, Network};
-use crate::model_tree::Node as ModelTreeNode;
-use crate::model_tree::{LeafModel, ModelTree};
+use crate::model_tree::{LeafModel, ModelTree, ModelTreeNode};
 use crate::scaler::Scaler;
-use crate::tree::{DecisionTree, Node as TreeNode};
+use crate::tree::{DecisionTree, Node as TreeNode, LEAF};
 use crate::Regressor;
 
 /// Leading marker token of every serialized model document.
@@ -506,24 +506,16 @@ impl Persist for DecisionTree {
     fn write_payload(&self, w: &mut Writer) {
         w.int(self.num_features());
         w.int(self.num_nodes());
-        for node in self.nodes() {
-            match node {
-                TreeNode::Leaf { value } => {
-                    w.tok("l");
-                    w.float(*value);
-                }
-                TreeNode::Split {
-                    feature,
-                    threshold,
-                    left,
-                    right,
-                } => {
-                    w.tok("s");
-                    w.int(*feature);
-                    w.float(*threshold);
-                    w.int(*left);
-                    w.int(*right);
-                }
+        for (i, node) in self.nodes().iter().enumerate() {
+            if node.is_leaf() {
+                w.tok("l");
+                w.float(node.threshold);
+            } else {
+                w.tok("s");
+                w.int(node.feature as usize);
+                w.float(node.threshold);
+                w.int(i + 1);
+                w.int(node.right as usize);
             }
         }
     }
@@ -539,9 +531,7 @@ impl Persist for DecisionTree {
         let mut nodes = Vec::with_capacity(num_nodes);
         for i in 0..num_nodes {
             match r.tok("tree node tag")? {
-                "l" => nodes.push(TreeNode::Leaf {
-                    value: r.float("leaf value")?,
-                }),
+                "l" => nodes.push(TreeNode::leaf(r.float("leaf value")?)),
                 "s" => {
                     let feature = r.int("split feature")?;
                     let threshold = r.float("split threshold")?;
@@ -552,21 +542,22 @@ impl Persist for DecisionTree {
                             what: format!("node {i} splits on feature {feature} of {num_features}"),
                         });
                     }
-                    // Fitted arenas place children strictly after their
-                    // parent; enforcing that here keeps traversal of any
-                    // accepted document finite and cycle-free.
-                    if left <= i || left >= num_nodes || right <= i || right >= num_nodes {
+                    // Trees are stored in pre-order: the left child is the
+                    // next node and the right child comes after it, which
+                    // keeps traversal of any accepted document finite.
+                    if left != i + 1 || right <= left || right >= num_nodes {
                         return Err(PersistError::Corrupt {
                             what: format!(
-                                "node {i} children ({left}, {right}) escape ({i}, {num_nodes})"
+                                "node {i} children ({left}, {right}) break pre-order \
+                                 (need {} = left < right < {num_nodes})",
+                                i + 1
                             ),
                         });
                     }
-                    nodes.push(TreeNode::Split {
-                        feature,
+                    nodes.push(TreeNode {
                         threshold,
-                        left,
-                        right,
+                        feature: narrow(feature, i, "feature")?,
+                        right: narrow(right, i, "right child")?,
                     });
                 }
                 t => {
@@ -578,6 +569,16 @@ impl Persist for DecisionTree {
         }
         Ok(DecisionTree::from_parts(nodes, num_features))
     }
+}
+
+/// Narrows node `i`'s `what` index to the `u32` of a tree node.
+fn narrow(index: usize, i: usize, what: &str) -> Result<u32, PersistError> {
+    u32::try_from(index)
+        .ok()
+        .filter(|&v| v != LEAF)
+        .ok_or_else(|| PersistError::Corrupt {
+            what: format!("node {i} {what} {index} does not fit a tree node"),
+        })
 }
 
 impl Persist for RandomForest {
@@ -1234,6 +1235,59 @@ mod tests {
             matches!(&err, PersistError::Corrupt { what } if what.contains("children")),
             "{err}"
         );
+    }
+
+    #[test]
+    fn splits_out_of_pre_order_are_rejected() {
+        // Acyclic trees the former arena decoder accepted, but no writer
+        // ever produced: the left child must be the next node.
+        let zero = format!("{:016x}", 0f64.to_bits());
+        for (nodes, bad) in [
+            (format!("s 0 {zero} 2 1 l {zero} l {zero}"), "node 0"),
+            (format!("s 0 {zero} 1 1 l {zero} l {zero}"), "node 0"),
+            (
+                format!("s 0 {zero} 1 4 s 0 {zero} 3 2 l {zero} l {zero} l {zero}"),
+                "node 1",
+            ),
+        ] {
+            let count = nodes.matches(['l', 's']).count();
+            let text = format!("{FORMAT} v{VERSION} tree 1 {count} {nodes}\n");
+            let err = decode::<DecisionTree>(&text).unwrap_err();
+            assert!(
+                matches!(&err, PersistError::Corrupt { what } if what.contains(bad) && what.contains("pre-order")),
+                "{err}"
+            );
+        }
+        // The same trees in pre-order decode.
+        let text = format!("{FORMAT} v{VERSION} tree 1 3 s 0 {zero} 1 2 l {zero} l {zero}\n");
+        assert!(decode::<DecisionTree>(&text).is_ok());
+    }
+
+    #[test]
+    fn indices_beyond_u32_are_rejected() {
+        let zero = format!("{:016x}", 0f64.to_bits());
+        let big = u64::from(u32::MAX) + 1;
+        for text in [
+            format!("{FORMAT} v{VERSION} tree {big} 1 l {zero}\n"),
+            format!("{FORMAT} v{VERSION} tree 1 {big} l {zero}\n"),
+            format!("{FORMAT} v{VERSION} tree 1 3 s {big} {zero} 1 2 l {zero} l {zero}\n"),
+            format!("{FORMAT} v{VERSION} tree 1 3 s 0 {zero} 1 {big} l {zero} l {zero}\n"),
+            format!("{FORMAT} v{VERSION} tree 1 3 s 0 {zero} {big} 2 l {zero} l {zero}\n"),
+        ] {
+            assert!(
+                matches!(
+                    decode::<DecisionTree>(&text),
+                    Err(PersistError::Corrupt { .. })
+                ),
+                "{text}"
+            );
+        }
+        assert!(narrow(usize::try_from(big).unwrap(), 7, "feature")
+            .unwrap_err()
+            .to_string()
+            .contains("node 7 feature"));
+        assert!(narrow(LEAF as usize, 0, "right child").is_err());
+        assert_eq!(narrow(5, 0, "feature"), Ok(5));
     }
 
     #[test]

@@ -75,6 +75,13 @@ impl Estimator for DecisionTreeParams {
                 what: "min_samples_leaf must be >= 1",
             });
         }
+        // Node fields are `u32`: a split feature must stay below `LEAF`, and
+        // a tree over n rows has at most 2n − 1 nodes.
+        if data.num_features() >= LEAF as usize || data.len() > (LEAF / 2) as usize {
+            return Err(MlError::InvalidHyperParameter {
+                what: "tree nodes index features and children with u32",
+            });
+        }
         let mut nodes = Vec::new();
         let mut indices: Vec<usize> = (0..data.len()).collect();
         let mut builder = TreeBuilder {
@@ -98,23 +105,37 @@ impl Estimator for DecisionTreeParams {
     }
 }
 
-/// A node of the fitted tree, in a flat arena. Children always come after
-/// their parent in the arena (the builder reserves the parent slot before
-/// growing either child) — [`crate::persist`] relies on this invariant to
-/// validate decoded trees.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum Node {
-    Leaf {
-        value: f64,
-    },
-    Split {
-        feature: usize,
-        threshold: f64,
-        /// Arena index of the `<= threshold` child.
-        left: usize,
-        /// Arena index of the `> threshold` child.
-        right: usize,
-    },
+/// [`Node::feature`] of a leaf.
+pub(crate) const LEAF: u32 = u32::MAX;
+
+/// A node of a fitted tree. Nodes are stored in pre-order: a split's
+/// `<= threshold` child is the next node, so only the `> threshold` child
+/// needs an index. [`crate::persist`] relies on this invariant to validate
+/// decoded trees.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Node {
+    /// The split threshold; in a leaf, the prediction.
+    pub(crate) threshold: f64,
+    /// The split feature, or [`LEAF`].
+    pub(crate) feature: u32,
+    /// Index of the `> threshold` child (0 in a leaf).
+    pub(crate) right: u32,
+}
+
+impl Node {
+    /// A leaf predicting `value`.
+    pub(crate) fn leaf(value: f64) -> Node {
+        Node {
+            threshold: value,
+            feature: LEAF,
+            right: 0,
+        }
+    }
+
+    /// Whether the node is a leaf.
+    pub(crate) fn is_leaf(&self) -> bool {
+        self.feature == LEAF
+    }
 }
 
 /// A fitted CART regression tree.
@@ -170,21 +191,17 @@ impl DecisionTree {
 
     /// Number of leaves.
     pub fn num_leaves(&self) -> usize {
-        self.nodes
-            .iter()
-            .filter(|n| matches!(n, Node::Leaf { .. }))
-            .count()
+        self.nodes.iter().filter(|n| n.is_leaf()).count()
     }
 
     /// Maximum depth of any leaf (root = 0).
     pub fn depth(&self) -> usize {
         fn depth_of(nodes: &[Node], i: usize) -> usize {
-            match &nodes[i] {
-                Node::Leaf { .. } => 0,
-                Node::Split { left, right, .. } => {
-                    1 + depth_of(nodes, *left).max(depth_of(nodes, *right))
-                }
+            let node = nodes[i];
+            if node.is_leaf() {
+                return 0;
             }
+            1 + depth_of(nodes, i + 1).max(depth_of(nodes, node.right as usize))
         }
         depth_of(&self.nodes, 0)
     }
@@ -194,38 +211,44 @@ impl DecisionTree {
         let mut f: Vec<usize> = self
             .nodes
             .iter()
-            .filter_map(|n| match n {
-                Node::Split { feature, .. } => Some(*feature),
-                Node::Leaf { .. } => None,
-            })
+            .filter(|n| !n.is_leaf())
+            .map(|n| n.feature as usize)
             .collect();
         f.sort_unstable();
         f.dedup();
         f
+    }
+
+    /// The leaf values `N` rows reach, walked side by side so that their
+    /// node loads overlap. A split sends `x <= threshold` to the next node
+    /// and everything else, NaN included, to `right`; the choice is made
+    /// without a branch, since the data decides it.
+    pub(crate) fn leaves<const N: usize>(&self, rows: [&[f64]; N]) -> [f64; N] {
+        let mut at = [0usize; N];
+        loop {
+            let mut moved = false;
+            for (i, x) in at.iter_mut().zip(rows) {
+                let node = self.nodes[*i];
+                if !node.is_leaf() {
+                    *i = std::hint::select_unpredictable(
+                        x[node.feature as usize] <= node.threshold,
+                        *i + 1,
+                        node.right as usize,
+                    );
+                    moved = true;
+                }
+            }
+            if !moved {
+                return at.map(|i| self.nodes[i].threshold);
+            }
+        }
     }
 }
 
 impl Regressor for DecisionTree {
     fn predict_one(&self, x: &[f64]) -> f64 {
         assert_eq!(x.len(), self.num_features, "feature count mismatch");
-        let mut i = 0;
-        loop {
-            match &self.nodes[i] {
-                Node::Leaf { value } => return *value,
-                Node::Split {
-                    feature,
-                    threshold,
-                    left,
-                    right,
-                } => {
-                    i = if x[*feature] <= *threshold {
-                        *left
-                    } else {
-                        *right
-                    };
-                }
-            }
-        }
+        self.leaves([x])[0]
     }
 }
 
@@ -237,7 +260,8 @@ struct TreeBuilder<'a> {
 }
 
 impl TreeBuilder<'_> {
-    /// Grows a subtree over `indices`, returning its arena index.
+    /// Grows a subtree over `indices` in pre-order, returning the index of
+    /// its root.
     fn grow(&mut self, indices: &mut [usize], depth: usize) -> usize {
         let mean = indices.iter().map(|&i| self.data.target(i)).sum::<f64>() / indices.len() as f64;
 
@@ -245,11 +269,11 @@ impl TreeBuilder<'_> {
             || indices.len() < self.params.min_samples_split
             || indices.len() < 2 * self.params.min_samples_leaf
         {
-            return self.leaf(mean);
+            return self.push(Node::leaf(mean));
         }
 
         match self.best_split(indices) {
-            None => self.leaf(mean),
+            None => self.push(Node::leaf(mean)),
             Some((feature, threshold)) => {
                 // Partition in place.
                 let mut split_at = 0;
@@ -260,28 +284,25 @@ impl TreeBuilder<'_> {
                     }
                 }
                 debug_assert!(split_at > 0 && split_at < indices.len());
-                let node = self.placeholder();
+                // Reserve the split's slot; the left subtree follows it.
+                let node = self.push(Node::leaf(f64::NAN));
                 let (left_idx, right_idx) = indices.split_at_mut(split_at);
                 let left = self.grow(left_idx, depth + 1);
+                debug_assert_eq!(left, node + 1, "left child follows its parent");
                 let right = self.grow(right_idx, depth + 1);
-                self.nodes[node] = Node::Split {
-                    feature,
+                // `fit` bounds the feature count and the node count by `LEAF`.
+                self.nodes[node] = Node {
                     threshold,
-                    left,
-                    right,
+                    feature: u32::try_from(feature).expect("feature count checked by fit"),
+                    right: u32::try_from(right).expect("node count checked by fit"),
                 };
                 node
             }
         }
     }
 
-    fn leaf(&mut self, value: f64) -> usize {
-        self.nodes.push(Node::Leaf { value });
-        self.nodes.len() - 1
-    }
-
-    fn placeholder(&mut self) -> usize {
-        self.nodes.push(Node::Leaf { value: f64::NAN });
+    fn push(&mut self, node: Node) -> usize {
+        self.nodes.push(node);
         self.nodes.len() - 1
     }
 

@@ -48,7 +48,7 @@
 //! directory.
 
 use std::fmt;
-use std::io::{self, Read};
+use std::io::{self, BufRead, Read};
 use std::time::Duration;
 
 /// The versioned header both sides must agree on, and the first line a
@@ -546,18 +546,19 @@ pub enum ReadEvent {
 /// [`ReadEvent::TimedOut`] instead of an unstructured error.
 pub struct LineReader<R: Read> {
     inner: R,
+    /// Bytes read but not yet returned start at `start`.
     pending: Vec<u8>,
+    /// Offset of the next line in `pending`.
+    start: usize,
+    /// How many bytes past `start` hold no newline (already scanned).
+    scanned: usize,
     cap: usize,
 }
 
 impl<R: Read> LineReader<R> {
     /// A reader over `inner` with the default [`MAX_LINE_BYTES`] cap.
     pub fn new(inner: R) -> LineReader<R> {
-        LineReader {
-            inner,
-            pending: Vec::new(),
-            cap: MAX_LINE_BYTES,
-        }
+        Self::with_cap(inner, MAX_LINE_BYTES)
     }
 
     /// Overrides the line cap (tests).
@@ -565,27 +566,47 @@ impl<R: Read> LineReader<R> {
         LineReader {
             inner,
             pending: Vec::new(),
+            start: 0,
+            scanned: 0,
             cap,
         }
     }
 
-    /// Reads until the next newline, EOF, cap breach, or timeout.
+    /// Reads until the next newline, EOF, cap breach, or timeout. Each
+    /// byte is scanned for the newline once, however the stream is split
+    /// into reads.
     pub fn next_line(&mut self) -> ReadEvent {
         loop {
-            if let Some(pos) = self.pending.iter().position(|&b| b == b'\n') {
-                let mut line: Vec<u8> = self.pending.drain(..=pos).collect();
-                line.pop(); // the newline
-                if line.last() == Some(&b'\r') {
-                    line.pop();
+            let from = self.start + self.scanned;
+            // `skip_until` over a slice is the standard library's memchr:
+            // it consumes through the first newline, or everything.
+            let mut unscanned = &self.pending[from..];
+            let seen = unscanned.skip_until(b'\n').unwrap_or_default();
+            if seen > 0 && self.pending[from + seen - 1] == b'\n' {
+                let end = from + seen - 1;
+                let mut line = &self.pending[self.start..end];
+                if let [rest @ .., b'\r'] = line {
+                    line = rest;
                 }
-                if line.len() > self.cap {
-                    return ReadEvent::Oversized;
-                }
-                return ReadEvent::Line(line);
+                let event = if line.len() > self.cap {
+                    ReadEvent::Oversized
+                } else {
+                    ReadEvent::Line(line.to_vec())
+                };
+                self.start = end + 1;
+                self.scanned = 0;
+                return event;
             }
-            if self.pending.len() > self.cap {
+            self.scanned = self.pending.len() - self.start;
+            // One byte of slack for a CR that the newline would strip, so
+            // the verdict does not depend on where reads split the line.
+            if self.scanned > self.cap + 1 {
                 return ReadEvent::Oversized;
             }
+            // Drop the lines already returned, so `pending` holds at most
+            // one partial line plus the next read.
+            self.pending.drain(..self.start);
+            self.start = 0;
             let mut chunk = [0u8; 4096];
             match self.inner.read(&mut chunk) {
                 Ok(0) => return ReadEvent::Eof,
@@ -786,6 +807,124 @@ mod tests {
         big.push(b'\n');
         let mut r = LineReader::with_cap(Cursor::new(big), 16);
         assert!(matches!(r.next_line(), ReadEvent::Oversized));
+    }
+
+    /// A stream that hands out at most `step` bytes per read.
+    struct Trickle {
+        data: Vec<u8>,
+        pos: usize,
+        step: usize,
+    }
+
+    impl Read for Trickle {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = self.step.min(buf.len()).min(self.data.len() - self.pos);
+            buf[..n].copy_from_slice(&self.data[self.pos..self.pos + n]);
+            self.pos += n;
+            Ok(n)
+        }
+    }
+
+    /// The lines of `data` at `cap`, read `step` bytes at a time, up to
+    /// EOF or the first `Oversized` (`None`), after which the server hangs
+    /// up.
+    fn read_lines(data: &[u8], step: usize, cap: usize) -> Vec<Option<Vec<u8>>> {
+        let stream = Trickle {
+            data: data.to_vec(),
+            pos: 0,
+            step,
+        };
+        let mut r = LineReader::with_cap(stream, cap);
+        let mut out = Vec::new();
+        loop {
+            match r.next_line() {
+                ReadEvent::Line(l) => out.push(Some(l)),
+                ReadEvent::Oversized => {
+                    out.push(None);
+                    return out;
+                }
+                ReadEvent::Eof => return out,
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn line_reader_is_independent_of_read_sizes() {
+        let cap = 16;
+        let exact = vec![b'x'; cap];
+        let mut data = b"alpha\nbeta\r\n\n\r\n".to_vec();
+        data.extend_from_slice(&exact);
+        data.extend_from_slice(b"\n");
+        data.extend_from_slice(&exact);
+        data.extend_from_slice(b"\r\n");
+        let mut over = data.clone();
+        over.extend_from_slice(&[b'y'; 17]);
+        over.extend_from_slice(b"\nnever\n");
+        let mut over_crlf = data.clone();
+        over_crlf.extend_from_slice(&[b'y'; 17]);
+        over_crlf.extend_from_slice(b"\r\n");
+        let lines: Vec<Option<Vec<u8>>> = vec![
+            Some(b"alpha".to_vec()),
+            Some(b"beta".to_vec()),
+            Some(Vec::new()),
+            Some(Vec::new()),
+            Some(exact.clone()),
+            Some(exact.clone()),
+        ];
+        let mut oversized = lines.clone();
+        oversized.push(None);
+        for step in [1, 3, 4096] {
+            // Several lines per read, CRLF, empty lines, a line of exactly
+            // the cap (with and without CR) and the unterminated tail.
+            assert_eq!(read_lines(&data, step, cap), lines, "step {step}");
+            let mut tail = data.clone();
+            tail.extend_from_slice(b"partial");
+            assert_eq!(read_lines(&tail, step, cap), lines, "step {step}");
+            // Cap + 1 bytes is oversized, CR or not.
+            assert_eq!(read_lines(&over, step, cap), oversized, "step {step}");
+            assert_eq!(read_lines(&over_crlf, step, cap), oversized, "step {step}");
+        }
+    }
+
+    #[test]
+    fn line_reader_scans_each_byte_once() {
+        // A 65,535-byte line arriving one byte per read, each read followed
+        // by a timeout: every call must resume the newline search where
+        // the previous one stopped, so the scan is linear in the line.
+        struct Drip {
+            data: Vec<u8>,
+            pos: usize,
+            ready: bool,
+        }
+        impl Read for Drip {
+            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+                self.ready = !self.ready;
+                if !self.ready {
+                    return Err(io::ErrorKind::WouldBlock.into());
+                }
+                let Some(&b) = self.data.get(self.pos) else {
+                    return Ok(0);
+                };
+                buf[0] = b;
+                self.pos += 1;
+                Ok(1)
+            }
+        }
+        let mut data = vec![b'z'; 65_535];
+        data.push(b'\n');
+        let mut r = LineReader::new(Drip {
+            data,
+            pos: 0,
+            ready: false,
+        });
+        for delivered in 1..=65_535 {
+            assert!(matches!(r.next_line(), ReadEvent::TimedOut));
+            assert_eq!((r.start, r.scanned), (0, delivered));
+        }
+        assert!(matches!(r.next_line(), ReadEvent::Line(l) if l.len() == 65_535));
+        assert!(matches!(r.next_line(), ReadEvent::TimedOut));
+        assert!(matches!(r.next_line(), ReadEvent::Eof));
     }
 
     #[test]
