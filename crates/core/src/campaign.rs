@@ -19,7 +19,11 @@
 //! - [`ProfileCache`] shares the expensive trace generation + PISA
 //!   profiling between all jobs of the same `(workload, point, scale)`,
 //!   so simulating N architecture configurations costs one kernel
-//!   analysis, exactly once, even under concurrency.
+//!   analysis, exactly once, even under concurrency. It also shares one
+//!   simulation among the point's jobs of each
+//!   [`TimingClass`](nmc_sim::TimingClass): the other jobs of the class
+//!   [`retarget`](NmcSystem::retarget) its report, bit for bit what their
+//!   own simulation would have produced.
 //! - [`AnyExecutor::from_env`] selects the executor from the `NAPEL_JOBS`
 //!   environment variable, so every driver binary and library entry point
 //!   gains a uniform parallelism knob.
@@ -54,7 +58,8 @@ use std::time::Instant;
 
 use napel_pisa::ApplicationProfile;
 use napel_workloads::{Scale, Workload};
-use nmc_sim::{ArchConfig, NmcSystem, SimEngine};
+use nmc_sim::energy::EnergyModel;
+use nmc_sim::{ArchConfig, NmcSystem, SimEngine, SimReport, TimingClass};
 
 use crate::checkpoint::CheckpointJournal;
 use crate::collect::{doe_points, CollectionPlan};
@@ -410,6 +415,13 @@ pub const JOB_LANE_BASE: u64 = 1;
 /// deterministic.
 pub const ANALYSIS_LANE_BASE: u64 = 1 << 32;
 
+/// Telemetry lane of the simulation a timing class shares at one point:
+/// `SIM_LANE_BASE + i`, where `i` is the lowest index among the point's
+/// jobs of that class. Whichever job of the class arrives first
+/// simulates, so — as with [`ANALYSIS_LANE_BASE`] — the run's events go
+/// to a lane fixed when the point is profiled.
+pub const SIM_LANE_BASE: u64 = 2 << 32;
+
 /// Cache key: one kernel analysis per distinct (workload, scale, point).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct ProfileKey {
@@ -497,9 +509,9 @@ pub enum ResidentTrace {
     Regenerate,
 }
 
-/// The shared, hardware-independent part of a job's work: the PISA
-/// profile, the trace in its policy-chosen resident form, and how long
-/// the (single-pass) analysis took.
+/// The shared part of a point's jobs: the hardware-independent PISA
+/// profile, the trace in its policy-chosen resident form, how long the
+/// (single-pass) analysis took, and one simulation per timing class.
 #[derive(Debug)]
 pub struct ProfiledPoint {
     /// The workload's instruction trace at this point, as resident per
@@ -507,6 +519,9 @@ pub struct ProfiledPoint {
     pub trace: ResidentTrace,
     /// The PISA application profile of that trace.
     pub profile: ApplicationProfile,
+    /// Software threads the kernel announced at this point; with each
+    /// job's architecture it decides the job's timing class.
+    pub num_threads: usize,
     /// Seconds spent in the fused generate-and-observe pass (the kernel
     /// streams straight into the profiler, so generation and feature
     /// observation share one clock).
@@ -514,6 +529,53 @@ pub struct ProfiledPoint {
     /// Seconds spent assembling the feature vector from the observed
     /// statistics.
     pub profile_seconds: f64,
+    /// One shared simulation per timing class among the point's jobs, in
+    /// order of each class's lowest job index.
+    runs: Vec<SharedRun>,
+}
+
+impl ProfiledPoint {
+    /// The shared simulation of `class` at this point.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no job of the batch at this point has that class.
+    fn shared_run(&self, class: &TimingClass) -> &SharedRun {
+        self.runs
+            .iter()
+            .find(|r| r.class == *class)
+            .expect("the point's runs cover every job's timing class")
+    }
+}
+
+/// The simulation all jobs of one timing class at one point share. The
+/// cell stays empty until a job of the class simulates, and again after
+/// a panicking simulation, so a retry simulates afresh.
+#[derive(Debug)]
+struct SharedRun {
+    class: TimingClass,
+    /// `SIM_LANE_BASE` + the class's lowest job index.
+    lane: u64,
+    report: OnceLock<SimReport>,
+}
+
+/// Groups the jobs of a point whose kernel runs `num_threads` threads by
+/// timing class, in job-index order. Campaign systems carry the default
+/// energy model ([`NmcSystem::new`]).
+fn shared_runs(jobs: &[(usize, ArchConfig)], num_threads: usize) -> Vec<SharedRun> {
+    let energy = EnergyModel::default();
+    let mut runs: Vec<SharedRun> = Vec::new();
+    for (index, arch) in jobs {
+        let class = TimingClass::new(arch, &energy, num_threads);
+        if runs.iter().all(|r| r.class != class) {
+            runs.push(SharedRun {
+                class,
+                lane: SIM_LANE_BASE + *index as u64,
+                report: OnceLock::new(),
+            });
+        }
+    }
+    runs
 }
 
 /// Keyed once-cell cache of kernel analyses.
@@ -524,6 +586,11 @@ pub struct ProfiledPoint {
 /// concurrently: the first asker initializes the [`OnceLock`], the rest
 /// block until it is ready and then share the result. N architecture
 /// configurations per point therefore cost one kernel analysis.
+///
+/// Since the cache knows every job at a point, materializing the point
+/// also groups those jobs by timing class (for the thread count the
+/// kernel announced), each class with its own once-cell for the one
+/// simulation its jobs share.
 #[derive(Debug)]
 pub struct ProfileCache {
     entries: HashMap<ProfileKey, CacheSlot>,
@@ -538,6 +605,8 @@ pub struct ProfileCache {
 struct CacheSlot {
     cell: OnceLock<ProfiledPoint>,
     lane: u64,
+    /// Index and architecture of every job at this point, in batch order.
+    jobs: Vec<(usize, ArchConfig)>,
 }
 
 impl ProfileCache {
@@ -557,7 +626,10 @@ impl ProfileCache {
                 .or_insert_with(|| CacheSlot {
                     cell: OnceLock::new(),
                     lane: ANALYSIS_LANE_BASE + job.index as u64,
-                });
+                    jobs: Vec::new(),
+                })
+                .jobs
+                .push((job.index, job.arch.clone()));
         }
         ProfileCache { entries, policy }
     }
@@ -626,14 +698,17 @@ impl ProfileCache {
                 }
             };
             let generate_seconds = t0.elapsed().as_secs_f64();
+            let num_threads = observer.num_threads();
             let t1 = Instant::now();
             let profile = observer.finish();
             let profile_seconds = t1.elapsed().as_secs_f64();
             ProfiledPoint {
                 trace,
                 profile,
+                num_threads,
                 generate_seconds,
                 profile_seconds,
+                runs: shared_runs(&slot.jobs, num_threads),
             }
         })
     }
@@ -888,8 +963,15 @@ fn run_one(
 }
 
 /// One attempt at a job's actual work: kernel analysis (through the
-/// cache), simulation, checked feature assembly, fault injection (when
-/// configured), and the label-validation gate.
+/// cache), the simulation its timing class shares at the point (run by
+/// whichever job of the class arrives first), the report retargeted to
+/// this job's system, checked feature assembly, fault injection (when
+/// configured), and the label-validation gate. The returned seconds are
+/// the simulation's if this attempt ran it, else zero.
+///
+/// Telemetry: every call bumps `campaign.sim_cache.lookups`; the call
+/// that simulates bumps `campaign.sim_cache.misses` and runs in the
+/// class's canonical lane ([`SIM_LANE_BASE`]).
 fn execute_job(
     job: &SimJob,
     cache: &ProfileCache,
@@ -900,8 +982,8 @@ fn execute_job(
         injector.maybe_panic(job.index, attempt);
     }
     let point = cache.profiled(job);
-    let t = Instant::now();
     let system = NmcSystem::new(job.arch.clone());
+    let shared = point.shared_run(&system.timing_class(point.num_threads));
     // Each worker thread owns one phase-split engine and simulates every
     // job through it, so frontends, vault queues, the in-flight arena, and
     // the DRAM model are reused across a campaign instead of reallocated
@@ -911,19 +993,29 @@ fn execute_job(
         static SIM_ENGINE: std::cell::RefCell<SimEngine> =
             std::cell::RefCell::new(SimEngine::new());
     }
-    // Both arms feed the simulator the exact instruction sequence the
-    // kernel emits (both entry points share the engine), so the report —
-    // and thus the labeled row — is policy-independent.
-    let report = SIM_ENGINE.with(|engine| {
-        let mut engine = engine.borrow_mut();
-        match &point.trace {
-            ResidentTrace::Encoded(enc) => engine.run_streams(&system, enc.thread_iters()),
-            ResidentTrace::Regenerate => {
-                engine.run(&system, &job.workload.generate(&job.coords, job.scale))
+    napel_telemetry::counter!("campaign.sim_cache.lookups", 1);
+    let mut simulate_seconds = 0.0;
+    let simulated = shared.report.get_or_init(|| {
+        let telemetry = napel_telemetry::global();
+        let _lane = telemetry.lane(shared.lane);
+        telemetry.counter("campaign.sim_cache.misses", 1);
+        let t = Instant::now();
+        // Both arms feed the simulator the exact instruction sequence the
+        // kernel emits (both entry points share the engine), so the
+        // report — and thus the labeled row — is policy-independent.
+        let report = SIM_ENGINE.with(|engine| {
+            let mut engine = engine.borrow_mut();
+            match &point.trace {
+                ResidentTrace::Encoded(enc) => engine.run_streams(&system, enc.thread_iters()),
+                ResidentTrace::Regenerate => {
+                    engine.run(&system, &job.workload.generate(&job.coords, job.scale))
+                }
             }
-        }
+        });
+        simulate_seconds = t.elapsed().as_secs_f64();
+        report
     });
-    let simulate_seconds = t.elapsed().as_secs_f64();
+    let report = system.retarget(simulated);
     let mut run = LabeledRun::from_report_checked(
         job.workload,
         job.coords.clone(),

@@ -1,5 +1,7 @@
 //! Architectural configuration — the `a` of `IPC(p, a)`.
 
+use crate::components::energy::EnergyModel;
+
 /// DRAM row-buffer management policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RowPolicy {
@@ -180,6 +182,80 @@ impl ArchConfig {
     /// Seconds per core cycle.
     pub fn cycle_seconds(&self) -> f64 {
         1e-9 / self.freq_ghz
+    }
+
+    /// PEs that take part in a run of `num_threads` software threads.
+    /// Threads map round-robin onto PEs, so PEs beyond the thread count
+    /// never execute; a run always has at least one PE.
+    pub fn effective_pes(&self, num_threads: usize) -> usize {
+        self.num_pes.min(num_threads).max(1)
+    }
+}
+
+/// The part of a simulated system that a run of a given thread count
+/// actually reads: the architecture with the engine's effective PE count
+/// in place of `num_pes`, without the report-only `freq_ghz` and
+/// `dram_size_bytes`, plus the energy model (per-event energies
+/// accumulate inside the run).
+///
+/// Systems of one class produce the same simulated report fields for the
+/// same trace — DRAM timings are in core cycles, so the clock only
+/// rescales seconds, and idle PEs never run.
+/// [`NmcSystem::retarget`](crate::NmcSystem::retarget) re-derives the
+/// fields that do differ.
+#[derive(Debug, Clone, PartialEq)]
+pub struct TimingClass {
+    pes: usize,
+    issue_width: usize,
+    cache_line_bytes: u64,
+    cache_lines: usize,
+    cache_assoc: usize,
+    cache_hit_latency: u64,
+    vaults: usize,
+    dram_layers: usize,
+    row_buffer_bytes: u64,
+    row_policy: RowPolicy,
+    timing: DramTiming,
+    xbar_latency: u64,
+    energy: EnergyModel,
+}
+
+impl TimingClass {
+    /// The class of `config` with energy model `energy`, for a run of
+    /// `num_threads` software threads. Needs no validated configuration.
+    pub fn new(config: &ArchConfig, energy: &EnergyModel, num_threads: usize) -> Self {
+        // No `..`: a new field does not compile until it is classified.
+        let &ArchConfig {
+            num_pes: _,
+            issue_width,
+            freq_ghz: _,
+            cache_line_bytes,
+            cache_lines,
+            cache_assoc,
+            cache_hit_latency,
+            vaults,
+            dram_layers,
+            dram_size_bytes: _,
+            row_buffer_bytes,
+            row_policy,
+            timing,
+            xbar_latency,
+        } = config;
+        TimingClass {
+            pes: config.effective_pes(num_threads),
+            issue_width,
+            cache_line_bytes,
+            cache_lines,
+            cache_assoc,
+            cache_hit_latency,
+            vaults,
+            dram_layers,
+            row_buffer_bytes,
+            row_policy,
+            timing,
+            xbar_latency,
+            energy: energy.clone(),
+        }
     }
 }
 

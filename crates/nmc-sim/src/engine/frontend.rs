@@ -13,13 +13,14 @@
 //! Differences from the reference PE are pure mechanics, not modeling:
 //! the register scoreboard is a dense vector instead of a hash map
 //! (register ids are consecutive SSA indices from each thread's emitter;
-//! absent means ready-at-0 in both representations), and completions of
-//! unconsumed loads are folded into `last_completion` lazily — at absorb
-//! time, at def-overwrite time (register ids restart per software thread,
-//! so a later thread's def can shadow an in-flight load), or in the final
+//! absent means ready-at-0 in both representations) whose entries either
+//! hold a ready cycle or, tagged with [`IN_FLIGHT`], the arena slot of the
+//! in-flight load defining the register; and completions of unconsumed
+//! loads are folded into `last_completion` lazily — at absorb time, at
+//! def-overwrite time (register ids restart per software thread, so a
+//! later thread's def can shadow an in-flight load), or in the final
 //! sweep — which is sound because `max` is commutative.
 
-use napel_ir::fxhash::FxHashMap;
 use napel_ir::{Inst, Opcode};
 
 use crate::components::cache::{Cache, CacheStats};
@@ -31,6 +32,11 @@ use crate::config::ArchConfig;
 use super::arena::{LoadArena, ReqKey};
 use super::vault::{QueuedReq, VaultQueues};
 use super::InstSource;
+
+/// Scoreboard tag: an entry with this bit set holds the arena slot of the
+/// in-flight load that defines the register (the newest def) instead of
+/// a ready cycle. Ready cycles stay below it (debug-asserted).
+const IN_FLIGHT: u64 = 1 << 63;
 
 /// Mutable engine state a frontend needs while advancing.
 pub(crate) struct EngineShared<'a> {
@@ -55,12 +61,12 @@ pub(crate) struct PeFrontend {
     idx: u32,
     dcache: Cache,
     icache: Cache,
-    /// Dense scoreboard: ready cycle per register id; absent (beyond the
-    /// vector) means 0, matching the reference engine's missing-key case.
+    /// `(lines, line bytes, associativity)` the caches were built with.
+    cache_shape: (usize, u64, usize),
+    /// Dense scoreboard: ready cycle per register id, or an
+    /// [`IN_FLIGHT`]-tagged arena slot; absent (beyond the vector) means
+    /// ready at 0, matching the reference engine's missing-key case.
     reg_time: Vec<u64>,
-    /// Registers whose defining load is still in flight → arena slot.
-    /// Takes priority over `reg_time` (a pending def is the newest def).
-    pending: FxHashMap<u32, u32>,
     /// In-flight loads whose destination was overwritten or absent; their
     /// completions still bound `last_completion` at sweep time.
     orphans: Vec<u32>,
@@ -85,41 +91,64 @@ pub(crate) struct PeFrontend {
     stalled: Option<Inst>,
 }
 
+fn cache_shape(cfg: &ArchConfig) -> (usize, u64, usize) {
+    (cfg.cache_lines, cfg.cache_line_bytes, cfg.cache_assoc)
+}
+
+fn new_cache(shape: (usize, u64, usize)) -> Cache {
+    Cache::new(shape.0, shape.1, shape.2)
+}
+
 impl PeFrontend {
     pub fn new(idx: u32, cfg: &ArchConfig) -> Self {
-        let t = cfg.timing;
-        PeFrontend {
+        let shape = cache_shape(cfg);
+        let mut f = PeFrontend {
             idx,
-            dcache: Cache::new(cfg.cache_lines, cfg.cache_line_bytes, cfg.cache_assoc),
-            icache: Cache::new(cfg.cache_lines, cfg.cache_line_bytes, cfg.cache_assoc),
+            dcache: new_cache(shape),
+            icache: new_cache(shape),
+            cache_shape: shape,
             reg_time: Vec::new(),
-            pending: FxHashMap::default(),
             orphans: Vec::new(),
             threads: Vec::new(),
             cursor: 0,
             cycle: 0,
             slots_used: 0,
-            issue_width: cfg.issue_width.max(1),
+            issue_width: 1,
             last_completion: 0,
             instructions: 0,
             ifetch_misses: 0,
             compute_energy_pj: 0.0,
-            ifetch_miss_latency: t.t_cl + t.t_bl,
-            hit_latency: cfg.cache_hit_latency,
-            xbar_latency: cfg.xbar_latency,
-            line_mask: !(cfg.cache_line_bytes - 1),
+            ifetch_miss_latency: 0,
+            hit_latency: 0,
+            xbar_latency: 0,
+            line_mask: 0,
             seq: 0,
             stalled: None,
-        }
+        };
+        f.reset_for(cfg);
+        f
     }
 
-    /// Returns the frontend to its initial state for the same configuration,
-    /// keeping every allocation (caches, scoreboard, maps).
-    pub fn reset(&mut self) {
-        self.dcache.reset();
-        self.icache.reset();
+    /// Returns the frontend to its initial state for `cfg`, keeping every
+    /// allocation: the scoreboard and work lists always, the caches unless
+    /// their geometry changed.
+    pub fn reset_for(&mut self, cfg: &ArchConfig) {
+        let shape = cache_shape(cfg);
+        if shape == self.cache_shape {
+            self.dcache.reset();
+            self.icache.reset();
+        } else {
+            self.dcache = new_cache(shape);
+            self.icache = new_cache(shape);
+            self.cache_shape = shape;
+        }
+        let t = cfg.timing;
+        self.issue_width = cfg.issue_width.max(1);
+        self.ifetch_miss_latency = t.t_cl + t.t_bl;
+        self.hit_latency = cfg.cache_hit_latency;
+        self.xbar_latency = cfg.xbar_latency;
+        self.line_mask = !(cfg.cache_line_bytes - 1);
         self.reg_time.clear();
-        self.pending.clear();
         self.orphans.clear();
         self.threads.clear();
         self.cursor = 0;
@@ -183,23 +212,34 @@ impl PeFrontend {
     /// performing them. Returns `false` (and mutates nothing of the step)
     /// if a source register's load is still unresolved.
     fn step(&mut self, inst: &Inst, sh: &mut EngineShared<'_>) -> bool {
-        // Absorb resolved in-flight sources; park on the first unresolved
-        // one. This precedes the fetch so a resumed step replays in full.
+        // Operand readiness: absorb resolved in-flight sources, park on the
+        // first unresolved one. This precedes the fetch so a resumed step
+        // replays in full.
+        let mut ready = 0u64;
         for r in inst.src_regs() {
-            if let Some(&slot) = self.pending.get(&r.0) {
+            let i = r.0 as usize;
+            let Some(&entry) = self.reg_time.get(i) else {
+                continue;
+            };
+            let at = if entry & IN_FLIGHT == 0 {
+                entry
+            } else {
+                let slot = (entry ^ IN_FLIGHT) as u32;
                 match sh.arena.completion(slot) {
                     Some(done) => {
-                        self.pending.remove(&r.0);
+                        debug_assert!(done < IN_FLIGHT, "cycle collides with the tag");
                         sh.arena.free(slot);
-                        self.write_reg(r.0, done);
+                        self.reg_time[i] = done;
                         self.last_completion = self.last_completion.max(done);
+                        done
                     }
                     None => {
                         sh.arena.set_awaited(slot);
                         return false;
                     }
                 }
-            }
+            };
+            ready = ready.max(at);
         }
 
         // Instruction fetch.
@@ -210,12 +250,6 @@ impl PeFrontend {
             self.ifetch_misses += 1;
             self.ifetch_miss_latency
         };
-
-        // Operand readiness (all sources resolved by now).
-        let mut ready = 0u64;
-        for r in inst.src_regs() {
-            ready = ready.max(self.reg_time.get(r.0 as usize).copied().unwrap_or(0));
-        }
 
         let mut issue = self.cycle.max(ready) + fetch_extra;
         if issue == self.cycle && self.slots_used >= self.issue_width {
@@ -256,23 +290,30 @@ impl PeFrontend {
         };
 
         if let Some(dst) = inst.dst_reg() {
+            let i = dst.0 as usize;
+            if i >= self.reg_time.len() {
+                self.reg_time.resize(i + 1, 0);
+            }
             // A new def shadows any in-flight load on the same id; its
             // completion still bounds the makespan, so orphan (or fold) it.
-            if let Some(old) = self.pending.remove(&dst.0) {
-                match sh.arena.completion(old) {
+            let old = self.reg_time[i];
+            if old & IN_FLIGHT != 0 {
+                let slot = (old ^ IN_FLIGHT) as u32;
+                match sh.arena.completion(slot) {
                     Some(done) => {
-                        sh.arena.free(old);
+                        sh.arena.free(slot);
                         self.last_completion = self.last_completion.max(done);
                     }
-                    None => self.orphans.push(old),
+                    None => self.orphans.push(slot),
                 }
             }
-            match in_flight {
-                Some(slot) => {
-                    self.pending.insert(dst.0, slot);
+            self.reg_time[i] = match in_flight {
+                Some(slot) => IN_FLIGHT | u64::from(slot),
+                None => {
+                    debug_assert!(completion < IN_FLIGHT, "cycle collides with the tag");
+                    completion
                 }
-                None => self.write_reg(dst.0, completion),
-            }
+            };
         } else if let Some(slot) = in_flight {
             self.orphans.push(slot);
         }
@@ -324,25 +365,21 @@ impl PeFrontend {
         );
     }
 
-    #[inline]
-    fn write_reg(&mut self, reg: u32, at: u64) {
-        let i = reg as usize;
-        if i >= self.reg_time.len() {
-            self.reg_time.resize(i + 1, 0);
-        }
-        self.reg_time[i] = at;
-    }
-
     /// Folds the completions of never-consumed loads into the makespan and
     /// releases their slots. Call after the final drain resolved everything.
     pub fn sweep(&mut self, arena: &mut LoadArena) {
-        for (_, slot) in self.pending.drain() {
-            let done = arena
-                .completion(slot)
-                .expect("final drain resolves every in-flight load");
-            self.last_completion = self.last_completion.max(done);
-            arena.free(slot);
+        for entry in &mut self.reg_time {
+            if *entry & IN_FLIGHT != 0 {
+                let slot = (*entry ^ IN_FLIGHT) as u32;
+                let done = arena
+                    .completion(slot)
+                    .expect("final drain resolves every in-flight load");
+                self.last_completion = self.last_completion.max(done);
+                arena.free(slot);
+                *entry = done;
+            }
         }
+
         for slot in self.orphans.drain(..) {
             let done = arena
                 .completion(slot)

@@ -40,11 +40,12 @@ mod reference;
 mod vault;
 
 use napel_ir::{Inst, MultiTrace};
+use napel_telemetry::LogHistogram;
 
 use crate::components::cache::CacheStats;
 use crate::components::dram::DramModel;
 use crate::components::energy::{EnergyBreakdown, EnergyModel};
-use crate::config::ArchConfig;
+use crate::config::{ArchConfig, TimingClass};
 use crate::report::SimReport;
 
 use arena::{LoadArena, ReqKey};
@@ -67,7 +68,8 @@ pub struct NmcSystem {
 }
 
 impl NmcSystem {
-    /// Creates a system for the given configuration.
+    /// Creates a system for the given configuration, with the default
+    /// (HMC-class) energy model.
     ///
     /// # Panics
     ///
@@ -77,7 +79,7 @@ impl NmcSystem {
         config.validate();
         NmcSystem {
             config,
-            energy_model: EnergyModel::hmc_default(),
+            energy_model: EnergyModel::default(),
         }
     }
 
@@ -94,6 +96,36 @@ impl NmcSystem {
 
     pub(crate) fn energy_model(&self) -> &EnergyModel {
         &self.energy_model
+    }
+
+    /// The [`TimingClass`] of a run of `num_threads` software threads on
+    /// this system: systems of one class simulate a trace identically.
+    pub fn timing_class(&self, num_threads: usize) -> TimingClass {
+        TimingClass::new(&self.config, &self.energy_model, num_threads)
+    }
+
+    /// This system's report for a trace, derived exactly from `report`,
+    /// the report of a system of the same [`TimingClass`] for that trace.
+    /// Every simulated field is kept; `freq_ghz` and the static energy,
+    /// which depend on this system's clock and configured PE count, are
+    /// recomputed.
+    pub fn retarget(&self, report: &SimReport) -> SimReport {
+        SimReport {
+            freq_ghz: self.config.freq_ghz,
+            energy: EnergyBreakdown {
+                static_pj: self.static_energy_pj(report.cycles),
+                ..report.energy
+            },
+            ..report.clone()
+        }
+    }
+
+    /// Static energy of a run of `cycles` core cycles, in picojoules. All
+    /// configured PEs burn static power, active or not.
+    fn static_energy_pj(&self, cycles: u64) -> f64 {
+        let (cfg, e) = (&self.config, &self.energy_model);
+        let seconds = cycles as f64 * cfg.cycle_seconds();
+        (cfg.num_pes as f64 * e.pe_static_w + e.dram_static_w) * seconds * 1e12
     }
 
     /// Simulates one kernel execution.
@@ -210,11 +242,16 @@ impl InstSource for TraceSource<'_> {
 /// reused across runs: frontends (caches, scoreboards), the DRAM model,
 /// per-vault queues, the in-flight-load arena, and the scheduler's work
 /// lists. A campaign worker holds one `SimEngine` and simulates every job
-/// through it; steady state performs no per-run allocations when
-/// consecutive jobs share an [`ArchConfig`], and only geometry-sized ones
-/// otherwise.
+/// through it. Consecutive jobs simulate one trace on several
+/// [`ArchConfig`]s, so frontends and their trace-sized scoreboards
+/// survive configuration changes, and only a cache or DRAM model whose
+/// geometry changed is rebuilt; a trace of another shape starts from
+/// fresh frontends. A run allocates its report's per-vault vector, and
+/// otherwise only for a new trace shape, a changed cache or DRAM
+/// geometry, or more PEs than the trace's earlier runs used.
 #[derive(Debug, Default)]
 pub struct SimEngine {
+    /// Grows to the most PEs a run of this trace used; a run uses a prefix.
     frontends: Vec<PeFrontend>,
     dram: Option<DramModel>,
     arena: LoadArena,
@@ -223,7 +260,8 @@ pub struct SimEngine {
     blocked: Vec<u32>,
     woken: Vec<u32>,
     trace_cursors: Vec<usize>,
-    cfg: Option<ArchConfig>,
+    /// `(threads, instructions)` of the trace the frontends last ran.
+    trace_shape: (usize, u64),
 }
 
 impl SimEngine {
@@ -253,23 +291,23 @@ impl SimEngine {
         self.run_source(system, &mut VecStreams(streams))
     }
 
-    /// Resets (or rebuilds, on configuration change) all run state.
-    fn prepare(&mut self, cfg: &ArchConfig, num_pes: usize, num_threads: usize) {
-        let reuse = self.cfg.as_ref() == Some(cfg);
-        if reuse {
-            self.frontends.truncate(num_pes);
-            for f in &mut self.frontends {
-                f.reset();
-            }
-        } else {
+    /// Resets all run state for `cfg`, keeping every allocation whose
+    /// shape still fits. Frontends start afresh when the trace's shape
+    /// (threads, instructions) changes, so scoreboards grown for one trace
+    /// do not stay resident through the next.
+    fn prepare(&mut self, cfg: &ArchConfig, num_pes: usize, trace_shape: (usize, u64)) {
+        if self.trace_shape != trace_shape {
             self.frontends.clear();
-            self.cfg = Some(cfg.clone());
+            self.trace_shape = trace_shape;
+        }
+        for f in self.frontends.iter_mut().take(num_pes) {
+            f.reset_for(cfg);
         }
         while self.frontends.len() < num_pes {
             self.frontends
                 .push(PeFrontend::new(self.frontends.len() as u32, cfg));
         }
-        for t in 0..num_threads {
+        for t in 0..trace_shape.0 {
             self.frontends[t % num_pes].assign_thread(t);
         }
         match &mut self.dram {
@@ -296,8 +334,8 @@ impl SimEngine {
             .span("nmc_sim.run")
             .attr("threads", num_threads)
             .attr("insts", total_insts);
-        let num_pes = cfg.num_pes.min(num_threads).max(1);
-        self.prepare(cfg, num_pes, num_threads);
+        let num_pes = cfg.effective_pes(num_threads);
+        self.prepare(cfg, num_pes, (num_threads, total_insts));
         // A consumed load's completion leaves the vault, re-crosses the
         // crossbar, and fills the L1 (reference: `data + xbar + hit`).
         let load_extra = cfg.xbar_latency + cfg.cache_hit_latency;
@@ -312,6 +350,7 @@ impl SimEngine {
             woken,
             ..
         } = self;
+        let frontends = &mut frontends[..num_pes];
         let dram = dram.as_mut().expect("prepared");
         let geometry = *dram.geometry();
         let energy = system.energy_model();
@@ -382,8 +421,7 @@ impl SimEngine {
         }
 
         let report = assemble_report(
-            cfg,
-            energy,
+            system,
             frontends.iter().map(|f| PeSummary {
                 instructions: f.instructions(),
                 finish_cycle: f.finish_cycle(),
@@ -397,7 +435,9 @@ impl SimEngine {
             record_report_counters(&telemetry, &report);
             telemetry.counter("nmc_sim.vault_batch.drains", tally.drains);
             telemetry.counter("nmc_sim.vault_batch.events", tally.events);
-            telemetry.counter("nmc_sim.arena_inflight.peak", arena.peak() as u64);
+            let mut peak = LogHistogram::new();
+            peak.observe(arena.peak() as f64);
+            telemetry.merge_log_histogram("nmc_sim.arena_inflight.peak", &peak);
         }
         report
     }
@@ -415,8 +455,7 @@ pub(crate) struct PeSummary {
 }
 
 pub(crate) fn assemble_report(
-    cfg: &ArchConfig,
-    e: &EnergyModel,
+    system: &NmcSystem,
     pes: impl Iterator<Item = PeSummary>,
     dram: &DramModel,
 ) -> SimReport {
@@ -441,20 +480,18 @@ pub(crate) fn assemble_report(
         }
     }
 
+    let e = system.energy_model();
     let ds = dram.stats();
     let cache_pj = (dcache.accesses + icache.accesses) as f64 * e.cache_access_pj
         + (dcache.misses() + icache.misses()) as f64 * e.cache_fill_pj;
     let dram_dynamic_pj = ds.activations as f64 * e.dram_activate_pj
         + ds.reads as f64 * e.dram_read_pj
         + ds.writes as f64 * e.dram_write_pj;
-    let seconds = cycles as f64 * cfg.cycle_seconds();
-    // All configured PEs burn static power, active or not.
-    let static_pj = (cfg.num_pes as f64 * e.pe_static_w + e.dram_static_w) * seconds * 1e12;
 
     SimReport {
         instructions,
         cycles,
-        freq_ghz: cfg.freq_ghz,
+        freq_ghz: system.config().freq_ghz,
         dcache,
         icache,
         dram: ds,
@@ -462,7 +499,7 @@ pub(crate) fn assemble_report(
             pe_dynamic_pj,
             cache_pj,
             dram_dynamic_pj,
-            static_pj,
+            static_pj: system.static_energy_pj(cycles),
         },
         active_pes,
         vault_accesses: dram.vault_accesses(),
@@ -563,30 +600,71 @@ mod tests {
         }
     }
 
+    /// `streaming`, then a few loads per thread that nothing consumes, so
+    /// every run ends with loads in flight (and, where threads share a PE,
+    /// a later thread's defs shadow an earlier thread's in-flight loads).
+    fn trailing_loads(threads: usize, n: u64) -> MultiTrace {
+        let mut t = streaming(threads, n);
+        for th in 0..threads {
+            let mut e = Emitter::new(t.thread_sink(th));
+            for i in 0..4u64 {
+                e.load(3, ((th as u64) << 26) | (i << 12), 8);
+            }
+        }
+        t
+    }
+
     #[test]
     fn engine_reuse_across_runs_matches_fresh_engine() {
         // One engine simulating different traces and configs back to back
-        // must leave no state behind between runs.
-        let mut engine = SimEngine::new();
-        let a = streaming(4, 120);
-        let b = compute_bound(2, 200);
-        let sys1 = NmcSystem::new(ArchConfig::paper_default());
-        let sys2 = NmcSystem::new(ArchConfig {
-            num_pes: 2,
-            vaults: 8,
-            row_policy: RowPolicy::Open,
-            ..ArchConfig::paper_default()
-        });
-        let warm = [
-            engine.run(&sys1, &a),
-            engine.run(&sys2, &b),
-            engine.run(&sys1, &a),
-            engine.run(&sys1, &b),
+        // must leave no state behind between runs. The six configurations
+        // are the campaign's `arch_neighborhood()` (napel-core), cycled
+        // point by point the way a campaign worker meets them, twice; the
+        // thread counts sit below, between and above their 16 and 32 PEs.
+        let base = ArchConfig::paper_default();
+        let neighborhood = [
+            base.clone(),
+            ArchConfig {
+                num_pes: 16,
+                ..base.clone()
+            },
+            ArchConfig {
+                freq_ghz: 2.5,
+                ..base.clone()
+            },
+            ArchConfig {
+                cache_lines: 8,
+                ..base.clone()
+            },
+            ArchConfig {
+                vaults: 16,
+                dram_layers: 4,
+                ..base.clone()
+            },
+            ArchConfig {
+                issue_width: 2,
+                ..base
+            },
         ];
-        assert_eq!(warm[0], NmcSystem::new(sys1.config().clone()).run(&a));
-        assert_eq!(warm[1], NmcSystem::new(sys2.config().clone()).run(&b));
-        assert_eq!(warm[0], warm[2], "reuse with same config is clean");
-        assert_eq!(warm[3], NmcSystem::new(sys1.config().clone()).run(&b));
+        let traces = [
+            trailing_loads(9, 60),
+            compute_bound(2, 200),
+            trailing_loads(24, 40),
+            trailing_loads(40, 30),
+        ];
+        let mut engine = SimEngine::new();
+        for round in 0..2 {
+            for (ti, t) in traces.iter().enumerate() {
+                for cfg in &neighborhood {
+                    let sys = NmcSystem::new(cfg.clone());
+                    assert_eq!(
+                        engine.run(&sys, t),
+                        NmcSystem::new(cfg.clone()).run(t),
+                        "round {round}, trace {ti}: {cfg:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -30,7 +30,7 @@ where
         .attr("threads", num_threads)
         .attr("insts", total_insts);
     let cfg = system.config();
-    let num_pes = cfg.num_pes.min(num_threads).max(1);
+    let num_pes = cfg.effective_pes(num_threads);
 
     // Assign threads to PEs round-robin; each PE executes its threads'
     // streams concatenated.
@@ -72,8 +72,7 @@ where
     }
 
     let report = assemble_report(
-        cfg,
-        system.energy_model(),
+        system,
         pes.iter().map(|p| PeSummary {
             instructions: p.instructions(),
             finish_cycle: p.finish_cycle(),

@@ -26,9 +26,11 @@
 //! - [`dram`] — per-vault bank timing (closed- or open-row) and counters,
 //! - [`pe`] — the in-order single-issue core model,
 //! - [`NmcSystem`] — the full system: runs a [`napel_ir::MultiTrace`],
+//!   and [`retarget`](NmcSystem::retarget)s a report simulated on another
+//!   system of the same [`TimingClass`] instead of simulating again,
 //! - [`SimEngine`] — the reusable phase-split engine (per-PE frontends,
 //!   batched per-vault event queues, arena-allocated in-flight loads) for
-//!   callers that simulate many runs and want zero steady-state allocation,
+//!   callers that simulate many runs and want to reuse its buffers,
 //! - [`energy`] — the per-event energy model,
 //! - [`SimReport`] — results.
 //!
@@ -59,7 +61,7 @@ mod report;
 
 pub use components::{cache, dram, energy, link, pe};
 
-pub use config::{ArchConfig, DramTiming, RowPolicy};
+pub use config::{ArchConfig, DramTiming, RowPolicy, TimingClass};
 pub use engine::{NmcSystem, SimEngine};
 pub use link::LinkConfig;
 pub use report::SimReport;
@@ -74,6 +76,7 @@ const _: () = {
     assert_send_sync::<ArchConfig>();
     assert_send_sync::<DramTiming>();
     assert_send_sync::<RowPolicy>();
+    assert_send_sync::<TimingClass>();
     assert_send_sync::<LinkConfig>();
     assert_send_sync::<SimReport>();
     assert_send_sync::<NmcSystem>();

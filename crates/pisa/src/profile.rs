@@ -173,6 +173,12 @@ impl ProfileObserver {
         self.insts
     }
 
+    /// Software threads announced by
+    /// [`begin`](ThreadedTraceSink::begin) (0 before it).
+    pub fn num_threads(&self) -> usize {
+        self.num_threads
+    }
+
     /// Finishes the stream and assembles the profile, with the same
     /// telemetry (`pisa.profile` span, `pisa.instructions` counter) a
     /// call to [`ApplicationProfile::of`] would emit — the observation

@@ -19,15 +19,21 @@
 //! - both trace entries: materialized [`MultiTrace`] and compact-encoded
 //!   per-thread streams (the two `TracePolicy` residencies),
 //! - Serial and Threaded campaign executors, both residency policies,
-//!   with rows checked against reference-engine labels.
+//!   with rows checked against reference-engine labels, on one
+//!   architecture and on `arch_neighborhood()`, where jobs of one timing
+//!   class share a simulation,
+//! - timing classes: a report retargeted from another system of the same
+//!   class equals that system's own run bit for bit, and every field the
+//!   engine reads separates classes.
 
 use napel::core::campaign::{
-    plan_jobs, ProfileCache, ResidentTrace, Serial, Threaded, TracePolicy,
+    plan_jobs, run_jobs, ProfileCache, ResidentTrace, Serial, SimJob, Threaded, TracePolicy,
 };
-use napel::core::collect::{arch_neighborhood, collect_with, CollectionPlan};
+use napel::core::collect::{arch_neighborhood, CollectionPlan};
 use napel::core::features::LabeledRun;
-use napel::ir::EncodedTrace;
-use napel::sim::{ArchConfig, NmcSystem, RowPolicy, SimEngine, SimReport};
+use napel::ir::{Emitter, EncodedTrace, MultiTrace};
+use napel::sim::energy::EnergyModel;
+use napel::sim::{ArchConfig, DramTiming, NmcSystem, RowPolicy, SimEngine, SimReport};
 use napel::workloads::{Scale, Workload};
 
 /// The three architecture shapes every kernel is differenced under.
@@ -110,12 +116,214 @@ fn reused_engine_is_field_identical_to_reference_on_all_kernels() {
     }
 }
 
+/// `assert_eq!` on two reports, plus every `f64` field by bit pattern
+/// (`==` would let `0.0` equal `-0.0`).
+fn assert_bit_identical(a: &SimReport, b: &SimReport, what: &str) {
+    assert_eq!(a, b, "{what}");
+    let bits = |r: &SimReport| {
+        let e = r.energy;
+        [
+            r.freq_ghz,
+            e.pe_dynamic_pj,
+            e.cache_pj,
+            e.dram_dynamic_pj,
+            e.static_pj,
+        ]
+        .map(f64::to_bits)
+    };
+    assert_eq!(bits(a), bits(b), "{what}: f64 bit patterns");
+}
+
+/// A hand-built `threads`-thread trace: per thread, a strided stream of
+/// load → multiply → store with some line reuse, then loads nothing
+/// consumes, so runs end with loads in flight.
+fn hand_built(threads: usize) -> MultiTrace {
+    let mut t = MultiTrace::new(threads);
+    for th in 0..threads {
+        let mut e = Emitter::new(t.thread_sink(th));
+        let base = (th as u64) << 22;
+        for i in 0..48u64 {
+            let x = e.load(0, base + 24 * i, 8);
+            let y = e.fmul(1, x, x);
+            e.store(2, base + 0x10_0000 + 16 * i, 8, y);
+        }
+        for i in 0..3u64 {
+            e.load(3, base + 0x20_0000 + (i << 10), 8);
+        }
+    }
+    t
+}
+
+#[test]
+fn timing_classes_split_on_every_field_the_engine_reads() {
+    let base = ArchConfig::paper_default();
+    let class = |arch: &ArchConfig, threads| NmcSystem::new(arch.clone()).timing_class(threads);
+
+    // Report-only fields, and PEs the threads cannot occupy, share a class.
+    for same in [
+        ArchConfig {
+            freq_ghz: 2.5,
+            ..base.clone()
+        },
+        ArchConfig {
+            dram_size_bytes: 1 << 30,
+            ..base.clone()
+        },
+        ArchConfig {
+            num_pes: 16,
+            ..base.clone()
+        },
+    ] {
+        assert_eq!(class(&same, 16), class(&base, 16), "{same:?}");
+    }
+    // PE counts on either side of the thread count do not.
+    let pes16 = ArchConfig {
+        num_pes: 16,
+        ..base.clone()
+    };
+    assert_ne!(class(&pes16, 17), class(&base, 17));
+    assert_eq!(class(&pes16, 1), class(&base, 1));
+
+    let timing = DramTiming::default();
+    for different in [
+        ArchConfig {
+            issue_width: 2,
+            ..base.clone()
+        },
+        ArchConfig {
+            cache_lines: 8,
+            ..base.clone()
+        },
+        ArchConfig {
+            cache_line_bytes: 128,
+            ..base.clone()
+        },
+        ArchConfig {
+            cache_assoc: 1,
+            ..base.clone()
+        },
+        ArchConfig {
+            cache_hit_latency: 2,
+            ..base.clone()
+        },
+        ArchConfig {
+            vaults: 16,
+            ..base.clone()
+        },
+        ArchConfig {
+            dram_layers: 4,
+            ..base.clone()
+        },
+        ArchConfig {
+            row_buffer_bytes: 512,
+            ..base.clone()
+        },
+        ArchConfig {
+            row_policy: RowPolicy::Open,
+            ..base.clone()
+        },
+        ArchConfig {
+            timing: DramTiming {
+                t_rcd: 20,
+                ..timing
+            },
+            ..base.clone()
+        },
+        ArchConfig {
+            timing: DramTiming { t_wr: 25, ..timing },
+            ..base.clone()
+        },
+        ArchConfig {
+            xbar_latency: 5,
+            ..base.clone()
+        },
+    ] {
+        assert_ne!(class(&different, 8), class(&base, 8), "{different:?}");
+    }
+    // Per-event energies accumulate inside the run, so the energy model
+    // is part of the class too.
+    let dearer_reads = NmcSystem::new(base.clone()).with_energy_model(EnergyModel {
+        dram_read_pj: 2000.0,
+        ..EnergyModel::default()
+    });
+    assert_ne!(dearer_reads.timing_class(8), class(&base, 8));
+}
+
+#[test]
+fn retargeted_runs_equal_fresh_runs_within_a_timing_class() {
+    // Every configuration of the campaign's neighborhood, plus variants
+    // of the default and of the 16-PE machine that differ only in the
+    // clock, the DRAM capacity, or a PE count at or above the threads.
+    let base = ArchConfig::paper_default();
+    let mut configs = arch_neighborhood();
+    configs.extend([
+        ArchConfig {
+            freq_ghz: 0.9,
+            ..base.clone()
+        },
+        ArchConfig {
+            dram_size_bytes: 1 << 30,
+            ..base.clone()
+        },
+        ArchConfig {
+            num_pes: 33,
+            ..base.clone()
+        },
+        ArchConfig {
+            num_pes: 64,
+            ..base.clone()
+        },
+        ArchConfig {
+            num_pes: 16,
+            freq_ghz: 3.0,
+            dram_size_bytes: 8 << 30,
+            ..base
+        },
+    ]);
+    let systems: Vec<NmcSystem> = configs.into_iter().map(NmcSystem::new).collect();
+    let traces = Workload::ALL
+        .iter()
+        .map(|w| (w.to_string(), w.generate_test(Scale::tiny())))
+        .chain([1, 9, 16, 17, 32, 33].map(|n| (format!("{n} threads"), hand_built(n))));
+    for (name, trace) in traces {
+        let threads = trace.num_threads();
+        let classes: Vec<_> = systems.iter().map(|s| s.timing_class(threads)).collect();
+        // The neighborhood shares base, 16 PEs and 2.5 GHz up to 16
+        // threads, and base and 2.5 GHz above.
+        let neighborhood_classes = (0..6)
+            .filter(|&i| !classes[..i].contains(&classes[i]))
+            .count();
+        assert_eq!(
+            neighborhood_classes,
+            if threads <= 16 { 4 } else { 5 },
+            "{name}"
+        );
+        // Simulate only systems that share their class with another.
+        let runs: Vec<Option<SimReport>> = (0..systems.len())
+            .map(|i| {
+                let shared = classes.iter().filter(|&c| *c == classes[i]).count() > 1;
+                shared.then(|| systems[i].run(&trace))
+            })
+            .collect();
+        for (i, a) in runs.iter().enumerate() {
+            for (j, b) in runs.iter().enumerate() {
+                if let (Some(a), Some(b)) = (a, b) {
+                    if i != j && classes[i] == classes[j] {
+                        assert_bit_identical(
+                            &systems[j].retarget(a),
+                            b,
+                            &format!("{name}: config {i} retargeted to config {j}"),
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// Simulates a job's trace (under `policy` residency) with the reference
 /// engine, producing the labeled row the campaign is expected to emit.
-fn reference_row(
-    job: &napel::core::campaign::SimJob,
-    cache: &ProfileCache,
-) -> (LabeledRun, SimReport) {
+fn reference_row(job: &SimJob, cache: &ProfileCache) -> (LabeledRun, SimReport) {
     let point = cache.profiled(job);
     let sys = NmcSystem::new(job.arch.clone());
     let report = match &point.trace {
@@ -135,6 +343,30 @@ fn reference_row(
     (run, report)
 }
 
+/// Runs `jobs` through the campaign on Serial and Threaded executors and
+/// checks every row against a fresh reference-engine run of its own job,
+/// under both trace residency policies.
+fn assert_campaign_matches_reference(jobs: &[SimJob]) {
+    let (serial, _) = run_jobs(&Serial, jobs);
+    let (threaded, _) = run_jobs(&Threaded::new(4), jobs);
+    assert_eq!(
+        serial, threaded,
+        "Serial and Threaded must agree row for row"
+    );
+    for policy in [TracePolicy::Encoded, TracePolicy::Regenerate] {
+        let cache = ProfileCache::with_policy(jobs, policy);
+        for (job, produced) in jobs.iter().zip(&serial) {
+            let (expected, _) = reference_row(job, &cache);
+            assert_eq!(
+                produced,
+                &expected,
+                "{policy:?}: campaign row diverges from the reference engine for {}",
+                job.describe()
+            );
+        }
+    }
+}
+
 #[test]
 fn campaign_rows_match_reference_labels_across_executors_and_policies() {
     // End-to-end: the real campaign path (which runs the phase-split
@@ -146,24 +378,30 @@ fn campaign_rows_match_reference_labels_across_executors_and_policies() {
         scale: Scale::tiny(),
         ..Default::default()
     };
-    let serial = collect_with(&plan, &Serial);
-    let threaded = collect_with(&plan, &Threaded::new(4));
-    assert_eq!(
-        serial.runs, threaded.runs,
-        "Serial and Threaded must agree row for row"
-    );
+    assert_campaign_matches_reference(&plan_jobs(&plan));
 
-    let jobs = plan_jobs(&plan);
-    for policy in [TracePolicy::Encoded, TracePolicy::Regenerate] {
-        let cache = ProfileCache::with_policy(&jobs, policy);
-        for (job, produced) in jobs.iter().zip(&serial.runs) {
-            let (expected, _) = reference_row(job, &cache);
-            assert_eq!(
-                produced,
-                &expected,
-                "{policy:?}: campaign row diverges from the reference engine for {}",
-                job.describe()
-            );
-        }
+    // The same on the six-architecture neighborhood, where each point's
+    // jobs share one simulation per timing class: gemv's points above 16
+    // threads (base and 2.5 GHz share a class) and atax's at or below 16
+    // (base, 16 PEs and 2.5 GHz share one).
+    let plan = CollectionPlan {
+        workloads: vec![Workload::Gemv, Workload::Atax],
+        arch_configs: arch_neighborhood(),
+        scale: Scale::tiny(),
+        dedup: true,
+    };
+    let threads = |job: &SimJob| {
+        let spec = job.workload.spec();
+        job.coords[spec.threads_index()]
+    };
+    let mut jobs: Vec<SimJob> = plan_jobs(&plan)
+        .into_iter()
+        .filter(|job| (job.workload == Workload::Gemv) == (threads(job) > 16.0))
+        .collect();
+    for (i, job) in jobs.iter_mut().enumerate() {
+        job.index = i;
     }
+    assert!(jobs.iter().any(|j| threads(j) > 16.0));
+    assert!(jobs.iter().any(|j| threads(j) <= 16.0));
+    assert_campaign_matches_reference(&jobs);
 }

@@ -8,7 +8,9 @@
 //!    journals match byte for byte.
 //! 2. **Determinism** — the drained event stream is identical modulo
 //!    wall-clock timings whether the campaign ran on the serial or the
-//!    threaded executor, thanks to lane-based ordering.
+//!    threaded executor, thanks to lane-based ordering — also when jobs
+//!    of one timing class share a simulation and run back to front, so a
+//!    different job of the class simulates.
 //! 3. **Coverage** — one collection campaign plus one training pass emits
 //!    spans from every layer (campaign, nmc-sim, pisa, ml) and the
 //!    headline counters.
@@ -21,12 +23,14 @@
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use napel::core::campaign::{plan_jobs, Serial, Threaded};
-use napel::core::collect::{collect_supervised, CollectionPlan};
+use napel::core::campaign::{plan_jobs, Executor, Serial, Threaded};
+use napel::core::collect::{arch_neighborhood, collect_supervised, CollectionPlan};
 use napel::core::fault::CampaignOptions;
+use napel::core::features::TrainingSet;
 use napel::ml::cv::{cross_val_mre, k_fold};
 use napel::ml::dataset::Dataset;
 use napel::ml::forest::RandomForestParams;
+use napel::sim::NmcSystem;
 use napel::telemetry::{Telemetry, TelemetryReport};
 use napel::workloads::{Scale, Workload};
 use rand::rngs::StdRng;
@@ -49,6 +53,57 @@ fn journal_path(tag: &str) -> PathBuf {
     ))
 }
 
+/// Runs `plan` on `exec` with a fresh checkpoint journal, and returns the
+/// training set, the drained telemetry, and the journal's bytes.
+fn run_campaign<E: Executor>(
+    plan: &CollectionPlan,
+    exec: &E,
+    tag: &str,
+) -> (TrainingSet, TelemetryReport, Vec<u8>) {
+    let journal = journal_path(tag);
+    let opts = CampaignOptions::default().with_checkpoint(&journal);
+    let (set, report) = collect_supervised(plan, exec, &opts).unwrap();
+    assert!(report.is_clean());
+    let stream = napel::telemetry::global().drain();
+    let bytes = std::fs::read(&journal).unwrap();
+    std::fs::remove_file(&journal).ok();
+    (set, stream, bytes)
+}
+
+/// Runs a batch one job at a time from the last to the first: whichever
+/// job of a timing class arrives first simulates for the class, and here
+/// that is the class's last job, not its first as under [`Serial`].
+struct BackToFront;
+
+impl Executor for BackToFront {
+    fn map<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
+    where
+        T: Sync,
+        R: Send,
+        F: Fn(usize, &T) -> R + Sync,
+    {
+        let mut out: Vec<R> = items
+            .iter()
+            .enumerate()
+            .rev()
+            .map(|(i, t)| f(i, t))
+            .collect();
+        out.reverse();
+        out
+    }
+
+    fn workers(&self) -> usize {
+        1
+    }
+}
+
+/// A journal's entries, sorted: entries append in completion order.
+fn sorted_entries(journal: &[u8]) -> Vec<&[u8]> {
+    let mut entries: Vec<&[u8]> = journal.split(|&b| b == b'\n').collect();
+    entries.sort_unstable();
+    entries
+}
+
 /// Drops the one legitimately executor-dependent detail — the `workers`
 /// attribute on the `campaign.run` span — so serial and threaded streams
 /// can be compared whole.
@@ -66,38 +121,24 @@ fn telemetry_is_invisible_deterministic_and_complete() {
 
     // --- 1. Baseline: noop telemetry (the default), serial executor. ---
     napel::telemetry::install(Telemetry::noop());
-    let noop_journal = journal_path("noop");
-    let opts = CampaignOptions::default().with_checkpoint(&noop_journal);
-    let (noop_set, report) = collect_supervised(&plan, &Serial, &opts).unwrap();
-    assert!(report.is_clean());
+    let (noop_set, noop_stream, noop_bytes) = run_campaign(&plan, &Serial, "noop");
     assert_eq!(noop_set.runs.len(), jobs);
-    assert!(
-        napel::telemetry::global().drain().is_empty(),
-        "noop telemetry must record nothing"
-    );
+    assert!(noop_stream.is_empty(), "noop telemetry must record nothing");
 
     // --- 2. Same campaign with telemetry enabled. ---
     napel::telemetry::install(Telemetry::enabled());
-    let enabled_journal = journal_path("enabled");
-    let opts = CampaignOptions::default().with_checkpoint(&enabled_journal);
-    let (enabled_set, _) = collect_supervised(&plan, &Serial, &opts).unwrap();
-    let serial_stream = napel::telemetry::global().drain();
+    let (enabled_set, serial_stream, enabled_bytes) = run_campaign(&plan, &Serial, "enabled");
 
     // Invisibility: labeled rows equal, and byte-identical through the
     // bit-exact journal encoding (floats as raw bit patterns).
     assert_eq!(noop_set.runs, enabled_set.runs);
-    let noop_bytes = std::fs::read(&noop_journal).unwrap();
-    let enabled_bytes = std::fs::read(&enabled_journal).unwrap();
     assert_eq!(
         noop_bytes, enabled_bytes,
         "telemetry must not perturb the checkpoint journal"
     );
 
     // --- 3. Same campaign, threaded executor, telemetry still on. ---
-    let threaded_journal = journal_path("threaded");
-    let opts = CampaignOptions::default().with_checkpoint(&threaded_journal);
-    let (threaded_set, _) = collect_supervised(&plan, &Threaded::new(4), &opts).unwrap();
-    let threaded_stream = napel::telemetry::global().drain();
+    let (threaded_set, threaded_stream, _) = run_campaign(&plan, &Threaded::new(4), "threaded");
     assert_eq!(noop_set.runs, threaded_set.runs);
 
     // Determinism: identical streams modulo wall-clock timings. Lanes
@@ -171,9 +212,51 @@ fn telemetry_is_invisible_deterministic_and_complete() {
     let parsed = TelemetryReport::from_jsonl(&serial_stream.to_jsonl()).unwrap();
     assert_eq!(parsed, serial_stream);
 
+    // --- 7. Shared simulations. On the six-architecture neighborhood a
+    // point's jobs of one timing class share one simulation, which runs in
+    // whichever job arrives first; the stream, rows and journal entries
+    // must not depend on which job that is. ---
+    let plan = CollectionPlan {
+        arch_configs: arch_neighborhood(),
+        ..tiny_plan()
+    };
+    let jobs = plan_jobs(&plan);
+    let (serial_set, serial_stream, serial_bytes) = run_campaign(&plan, &Serial, "shared");
+    let (reversed_set, reversed_stream, reversed_bytes) =
+        run_campaign(&plan, &BackToFront, "shared-reversed");
+    assert_eq!(serial_set.runs, reversed_set.runs);
+    assert_eq!(
+        sorted_entries(&serial_bytes),
+        sorted_entries(&reversed_bytes)
+    );
+    assert_eq!(
+        strip_workers(serial_stream.without_timings()),
+        strip_workers(reversed_stream.without_timings()),
+        "the simulating job of a timing class must not show in the stream"
+    );
+    // One lookup per job, one simulation per (point, timing class).
+    let mut classes = Vec::new();
+    for job in &jobs {
+        let threads = job.workload.generate(&job.coords, job.scale).num_threads();
+        let class = NmcSystem::new(job.arch.clone()).timing_class(threads);
+        let shared = (job.workload, job.coords.clone(), class);
+        if !classes.contains(&shared) {
+            classes.push(shared);
+        }
+    }
+    assert!(classes.len() < jobs.len(), "some jobs must share a run");
+    for (counter, expected) in [
+        ("campaign.sim_cache.lookups", jobs.len()),
+        ("campaign.sim_cache.misses", classes.len()),
+        ("nmc_sim.runs", classes.len()),
+    ] {
+        assert_eq!(
+            serial_stream.counter(counter),
+            Some(expected as u64),
+            "{counter}"
+        );
+    }
+
     // Restore the default so later tests in this process start clean.
     napel::telemetry::install(Telemetry::noop());
-    for path in [&noop_journal, &enabled_journal, &threaded_journal] {
-        std::fs::remove_file(path).ok();
-    }
 }
