@@ -19,7 +19,6 @@ fn tiny_plan() -> CollectionPlan {
         workloads: vec![Workload::Atax, Workload::Gemv],
         arch_configs: arch_neighborhood().into_iter().take(3).collect(),
         scale: Scale::tiny(),
-        dedup: true,
     }
 }
 

@@ -40,5 +40,3 @@ fn main() {
     }
     opts.finish_telemetry();
 }
-
-// Internal diagnostics appended per run (see module docs).

@@ -415,8 +415,11 @@ fn parse_one<'a, I: Iterator<Item = &'a str>>(
         ));
     }
 
+    // Counts read off disk size nothing up front: a forged count must end
+    // in "document ends" once the lines run out, not in an allocation
+    // abort.
     let n_grid: usize = parse_num(field(next("the grid line")?, "grid", path)?, path)?;
-    let mut grid = Vec::with_capacity(n_grid);
+    let mut grid = Vec::new();
     for _ in 0..n_grid {
         grid.push(next("a grid candidate line")?.to_string());
     }

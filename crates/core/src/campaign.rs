@@ -23,7 +23,8 @@
 //!   simulation among the point's jobs of each
 //!   [`TimingClass`](nmc_sim::TimingClass): the other jobs of the class
 //!   [`retarget`](NmcSystem::retarget) its report, bit for bit what their
-//!   own simulation would have produced.
+//!   own simulation would have produced. A point's compact encoded trace
+//!   is dropped as soon as each of its timing classes has a report.
 //! - [`AnyExecutor::from_env`] selects the executor from the `NAPEL_JOBS`
 //!   environment variable, so every driver binary and library entry point
 //!   gains a uniform parallelism knob.
@@ -53,7 +54,7 @@ use std::collections::HashMap;
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Once, OnceLock};
+use std::sync::{Once, OnceLock, RwLock};
 use std::time::Instant;
 
 use napel_pisa::ApplicationProfile;
@@ -64,8 +65,8 @@ use nmc_sim::{ArchConfig, NmcSystem, SimEngine, SimReport, TimingClass};
 use crate::checkpoint::CheckpointJournal;
 use crate::collect::{doe_points, CollectionPlan};
 use crate::fault::{
-    CampaignOptions, CampaignReport, FaultInjector, FaultPolicy, JobFailure, JobFailureKind,
-    JobOutcome, JobStatus,
+    Backoff, CampaignOptions, CampaignReport, FaultInjector, FaultPolicy, JobFailure,
+    JobFailureKind, JobOutcome, JobStatus,
 };
 use crate::features::{CollectStats, LabeledRun};
 use crate::NapelError;
@@ -442,81 +443,19 @@ impl ProfileKey {
     }
 }
 
-/// How a profiled point's trace stays resident between the simulations
-/// that share it — the campaign's memory/compute trade-off knob.
-///
-/// A raw [`napel_ir::MultiTrace`] costs 32 bytes per instruction and a
-/// campaign caches one per distinct DoE point, so large batches used to be
-/// dominated by trace memory. Both policies bound that:
-///
-/// - [`Encoded`](TracePolicy::Encoded) (the default) keeps the compact
-///   delta-encoded form ([`napel_ir::EncodedTrace`], typically 3–5 bytes
-///   per instruction) and decodes it on the fly for each simulation — a
-///   ≥4× residency reduction for every kernel at no re-generation cost.
-/// - [`Regenerate`](TracePolicy::Regenerate) keeps *nothing* resident and
-///   re-runs the kernel generator transiently per simulation — minimal
-///   memory, paying one extra generation per architecture configuration.
-///
-/// Selected by the `NAPEL_TRACE_POLICY` environment variable (`encoded`,
-/// `regenerate`; unset/empty → `encoded`, anything else warns once and
-/// falls back to `encoded`). Labeled rows are bit-identical across
-/// policies: both simulate the exact instruction sequence the kernel
-/// emits (enforced by test).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TracePolicy {
-    /// Cache the compact delta-encoded trace; simulations decode it.
-    #[default]
-    Encoded,
-    /// Cache nothing; simulations re-generate the kernel trace.
-    Regenerate,
-}
-
-impl TracePolicy {
-    /// Reads the policy from `NAPEL_TRACE_POLICY` (see the type docs).
-    pub fn from_env() -> Self {
-        match std::env::var("NAPEL_TRACE_POLICY") {
-            Err(_) => TracePolicy::default(),
-            Ok(spec) => Self::from_spec(&spec),
-        }
-    }
-
-    /// Parses a `NAPEL_TRACE_POLICY`-style specification, warning once
-    /// (through the `napel-telemetry` log facade) and defaulting on an
-    /// unknown value rather than aborting a campaign over a typo.
-    pub fn from_spec(spec: &str) -> Self {
-        let spec = spec.trim();
-        if spec.is_empty() || spec.eq_ignore_ascii_case("encoded") {
-            TracePolicy::Encoded
-        } else if spec.eq_ignore_ascii_case("regenerate") {
-            TracePolicy::Regenerate
-        } else {
-            napel_telemetry::warn_once!(
-                "napel: unknown trace policy `{spec}` (expected `encoded` or \
-                 `regenerate`); using `encoded`"
-            );
-            TracePolicy::default()
-        }
-    }
-}
-
-/// The resident form of a profiled point's trace, per [`TracePolicy`].
-#[derive(Debug)]
-pub enum ResidentTrace {
-    /// The compact delta-encoded trace ([`TracePolicy::Encoded`]).
-    Encoded(napel_ir::EncodedTrace),
-    /// Nothing resident ([`TracePolicy::Regenerate`]); simulations re-run
-    /// the kernel generator.
-    Regenerate,
-}
-
 /// The shared part of a point's jobs: the hardware-independent PISA
-/// profile, the trace in its policy-chosen resident form, how long the
-/// (single-pass) analysis took, and one simulation per timing class.
+/// profile, the compact encoded trace until its last simulation, how long
+/// the (single-pass) analysis took, and one simulation per timing class.
 #[derive(Debug)]
 pub struct ProfiledPoint {
-    /// The workload's instruction trace at this point, as resident per
-    /// the cache's [`TracePolicy`].
-    pub trace: ResidentTrace,
+    /// The workload's instruction trace at this point in its compact
+    /// delta-encoded form ([`napel_ir::EncodedTrace`], a few bytes per
+    /// instruction), read-locked by each class's simulation and dropped
+    /// once every class has a report.
+    trace: RwLock<Option<napel_ir::EncodedTrace>>,
+    /// Timing classes whose simulation has not completed yet; the
+    /// simulation that takes it to zero drops the trace.
+    unsimulated: AtomicUsize,
     /// The PISA application profile of that trace.
     pub profile: ApplicationProfile,
     /// Software threads the kernel announced at this point; with each
@@ -590,11 +529,12 @@ fn shared_runs(jobs: &[(usize, ArchConfig)], num_threads: usize) -> Vec<SharedRu
 /// Since the cache knows every job at a point, materializing the point
 /// also groups those jobs by timing class (for the thread count the
 /// kernel announced), each class with its own once-cell for the one
-/// simulation its jobs share.
+/// simulation its jobs share. The point's encoded trace is dropped after
+/// the last of those simulations, so a batch holds only the traces of
+/// points still being simulated.
 #[derive(Debug)]
 pub struct ProfileCache {
     entries: HashMap<ProfileKey, CacheSlot>,
-    policy: TracePolicy,
 }
 
 /// One cache entry: the once-cell plus the telemetry lane its analysis
@@ -610,15 +550,8 @@ struct CacheSlot {
 }
 
 impl ProfileCache {
-    /// Prepares (empty) cache slots for every distinct point in `jobs`,
-    /// with the trace-residency policy from the environment
-    /// ([`TracePolicy::from_env`]).
+    /// Prepares (empty) cache slots for every distinct point in `jobs`.
     pub fn for_jobs(jobs: &[SimJob]) -> Self {
-        Self::with_policy(jobs, TracePolicy::from_env())
-    }
-
-    /// Prepares (empty) cache slots with an explicit residency policy.
-    pub fn with_policy(jobs: &[SimJob], policy: TracePolicy) -> Self {
         let mut entries = HashMap::new();
         for job in jobs {
             entries
@@ -631,12 +564,7 @@ impl ProfileCache {
                 .jobs
                 .push((job.index, job.arch.clone()));
         }
-        ProfileCache { entries, policy }
-    }
-
-    /// The trace-residency policy this cache was built with.
-    pub fn policy(&self) -> TracePolicy {
-        self.policy
+        ProfileCache { entries }
     }
 
     /// The kernel analysis for `job`'s point, computing it on first use.
@@ -665,50 +593,42 @@ impl ProfileCache {
                 .attr("workload", job.workload.name());
             telemetry.counter("campaign.profile_cache.misses", 1);
             // One fused pass: the kernel streams each instruction into the
-            // PISA observer (and, under the `Encoded` policy, into the
-            // compact encoder) as it is emitted — the full 32-byte-per-
-            // instruction `MultiTrace` is never materialized.
+            // PISA observer and into the compact encoder as it is emitted —
+            // the full 32-byte-per-instruction `MultiTrace` is never
+            // materialized.
             let mut observer = napel_pisa::ProfileObserver::new();
+            let mut enc = napel_ir::EncodedTraceSink::new();
             let t0 = Instant::now();
-            let trace = match self.policy {
-                TracePolicy::Encoded => {
-                    let mut enc = napel_ir::EncodedTraceSink::new();
-                    {
-                        let _gen = telemetry.span("campaign.generate_trace");
-                        let mut tee = napel_ir::TeeSink::new(&mut observer, &mut enc);
-                        job.workload.generate_into(&job.coords, job.scale, &mut tee);
-                    }
-                    let enc = enc.finish();
-                    // `trace.bytes_resident` totals what campaigns keep in
-                    // memory; `trace.encoded_ratio` accumulates per-point
-                    // compression factors (divide by
-                    // `campaign.profile_cache.misses` for the mean).
-                    telemetry.counter("trace.bytes_resident", enc.encoded_bytes() as u64);
-                    telemetry.counter(
-                        "trace.encoded_ratio",
-                        (enc.materialized_bytes() / enc.encoded_bytes().max(1)) as u64,
-                    );
-                    ResidentTrace::Encoded(enc)
-                }
-                TracePolicy::Regenerate => {
-                    let _gen = telemetry.span("campaign.generate_trace");
-                    job.workload
-                        .generate_into(&job.coords, job.scale, &mut observer);
-                    ResidentTrace::Regenerate
-                }
-            };
+            {
+                let _gen = telemetry.span("campaign.generate_trace");
+                let mut tee = napel_ir::TeeSink::new(&mut observer, &mut enc);
+                job.workload.generate_into(&job.coords, job.scale, &mut tee);
+            }
+            let trace = enc.finish();
+            // `trace.encoded_bytes` totals the encoded traces a campaign
+            // builds (each is dropped after its point's last simulation);
+            // `trace.encoded_ratio` accumulates per-point compression
+            // factors (divide by `campaign.profile_cache.misses` for the
+            // mean).
+            telemetry.counter("trace.encoded_bytes", trace.encoded_bytes() as u64);
+            telemetry.counter(
+                "trace.encoded_ratio",
+                (trace.materialized_bytes() / trace.encoded_bytes().max(1)) as u64,
+            );
             let generate_seconds = t0.elapsed().as_secs_f64();
             let num_threads = observer.num_threads();
             let t1 = Instant::now();
             let profile = observer.finish();
             let profile_seconds = t1.elapsed().as_secs_f64();
+            let runs = shared_runs(&slot.jobs, num_threads);
             ProfiledPoint {
-                trace,
+                trace: RwLock::new(Some(trace)),
+                unsimulated: AtomicUsize::new(runs.len()),
                 profile,
                 num_threads,
                 generate_seconds,
                 profile_seconds,
-                runs: shared_runs(&slot.jobs, num_threads),
+                runs,
             }
         })
     }
@@ -753,11 +673,13 @@ impl ProfileCache {
 /// Expands a [`CollectionPlan`] into its job batch: workload-major,
 /// DoE-point-major, architecture-minor — exactly the order the original
 /// serial loops produced rows in, which downstream code and tests rely
-/// on.
+/// on. Coincident CCD points (center replicates) are simulated once: the
+/// simulator is deterministic, so a replicate adds time but no
+/// information.
 pub fn plan_jobs(plan: &CollectionPlan) -> Vec<SimJob> {
     let mut jobs = Vec::new();
     for &workload in &plan.workloads {
-        for point in doe_points(&workload.spec(), plan.dedup) {
+        for point in doe_points(&workload.spec(), true) {
             for arch in &plan.arch_configs {
                 jobs.push(SimJob {
                     index: jobs.len(),
@@ -939,10 +861,7 @@ fn run_one(
                     // for (transient resource exhaustion) need breathing
                     // room, and the schedule is deterministic in the
                     // attempt number so the campaign stays replayable.
-                    let delay = opts.backoff.delay(attempt);
-                    if !delay.is_zero() {
-                        std::thread::sleep(delay);
-                    }
+                    std::thread::sleep(Backoff::default().delay(attempt));
                     continue;
                 }
                 JobFailureKind::Panic(panic_message)
@@ -967,7 +886,10 @@ fn run_one(
 /// whichever job of the class arrives first), the report retargeted to
 /// this job's system, checked feature assembly, fault injection (when
 /// configured), and the label-validation gate. The returned seconds are
-/// the simulation's if this attempt ran it, else zero.
+/// the simulation's if this attempt ran it, else zero. The attempt that
+/// completes the point's last class simulation drops the point's trace;
+/// a panicking simulation completes nothing, so the trace stays for the
+/// retry.
 ///
 /// Telemetry: every call bumps `campaign.sim_cache.lookups`; the call
 /// that simulates bumps `campaign.sim_cache.misses` and runs in the
@@ -994,27 +916,32 @@ fn execute_job(
             std::cell::RefCell::new(SimEngine::new());
     }
     napel_telemetry::counter!("campaign.sim_cache.lookups", 1);
-    let mut simulate_seconds = 0.0;
+    let mut simulate_seconds = None;
     let simulated = shared.report.get_or_init(|| {
         let telemetry = napel_telemetry::global();
         let _lane = telemetry.lane(shared.lane);
         telemetry.counter("campaign.sim_cache.misses", 1);
         let t = Instant::now();
-        // Both arms feed the simulator the exact instruction sequence the
-        // kernel emits (both entry points share the engine), so the
-        // report — and thus the labeled row — is policy-independent.
+        // Classes of one point simulate concurrently under shared read
+        // locks; the write lock that drops the trace is taken only after
+        // the last of them has finished.
+        let trace = point.trace.read().expect("trace lock is never poisoned");
+        let trace = trace
+            .as_ref()
+            .expect("the trace outlives every class simulation");
         let report = SIM_ENGINE.with(|engine| {
-            let mut engine = engine.borrow_mut();
-            match &point.trace {
-                ResidentTrace::Encoded(enc) => engine.run_streams(&system, enc.thread_iters()),
-                ResidentTrace::Regenerate => {
-                    engine.run(&system, &job.workload.generate(&job.coords, job.scale))
-                }
-            }
+            engine
+                .borrow_mut()
+                .run_streams(&system, trace.thread_iters())
         });
-        simulate_seconds = t.elapsed().as_secs_f64();
+        simulate_seconds = Some(t.elapsed().as_secs_f64());
         report
     });
+    // Decrements are totally ordered, so exactly one class sees the count
+    // reach zero, and by then every class has finished reading the trace.
+    if simulate_seconds.is_some() && point.unsimulated.fetch_sub(1, Ordering::AcqRel) == 1 {
+        *point.trace.write().expect("trace lock is never poisoned") = None;
+    }
     let report = system.retarget(simulated);
     let mut run = LabeledRun::from_report_checked(
         job.workload,
@@ -1029,7 +956,7 @@ fn execute_job(
     }
     run.validate(&job.arch)
         .map_err(JobFailureKind::InvalidLabel)?;
-    Ok((run, simulate_seconds))
+    Ok((run, simulate_seconds.unwrap_or(0.0)))
 }
 
 /// Runs `f` inside `catch_unwind`, rendering a panic payload to text.
@@ -1186,7 +1113,6 @@ mod tests {
             workloads: vec![Workload::Atax],
             arch_configs: arch_neighborhood().into_iter().take(2).collect(),
             scale: Scale::tiny(),
-            dedup: true,
         };
         let jobs = plan_jobs(&plan);
         let mut relabeled = jobs[0].clone();
@@ -1205,7 +1131,6 @@ mod tests {
             workloads: vec![Workload::Atax],
             arch_configs: arch_neighborhood().into_iter().take(2).collect(),
             scale: Scale::tiny(),
-            dedup: true,
         };
         let jobs = plan_jobs(&plan);
         let (plain_rows, _) = run_jobs(&Serial, &jobs);
@@ -1224,7 +1149,6 @@ mod tests {
             workloads: vec![Workload::Atax],
             arch_configs: arch_neighborhood().into_iter().take(2).collect(),
             scale: Scale::tiny(),
-            dedup: true,
         };
         let jobs = plan_jobs(&plan);
         let opts = CampaignOptions::default().with_injector(FaultInjector::new().panic_at(5));
@@ -1245,7 +1169,6 @@ mod tests {
             workloads: vec![Workload::Atax],
             arch_configs: arch_neighborhood().into_iter().take(1).collect(),
             scale: Scale::tiny(),
-            dedup: true,
         };
         let jobs = plan_jobs(&plan);
         let clean = run_supervised(&Serial, &jobs, &CampaignOptions::quarantine())
@@ -1274,7 +1197,6 @@ mod tests {
             workloads: vec![Workload::Atax, Workload::Gemv],
             arch_configs: arch_neighborhood().into_iter().take(2).collect(),
             scale: Scale::tiny(),
-            dedup: true,
         };
         let jobs = plan_jobs(&plan);
         // atax: 9 deduped points, gemv: 15; two archs each.
@@ -1296,7 +1218,6 @@ mod tests {
             workloads: vec![Workload::Atax],
             arch_configs: arch_neighborhood().into_iter().take(3).collect(),
             scale: Scale::tiny(),
-            dedup: true,
         };
         let jobs = plan_jobs(&plan);
         assert_eq!(jobs.len(), 27);
@@ -1310,57 +1231,18 @@ mod tests {
     }
 
     #[test]
-    fn trace_policy_parses_like_documented() {
-        assert_eq!(TracePolicy::from_spec(""), TracePolicy::Encoded);
-        assert_eq!(TracePolicy::from_spec("  "), TracePolicy::Encoded);
-        assert_eq!(TracePolicy::from_spec("encoded"), TracePolicy::Encoded);
-        assert_eq!(TracePolicy::from_spec("Encoded"), TracePolicy::Encoded);
-        assert_eq!(
-            TracePolicy::from_spec(" regenerate "),
-            TracePolicy::Regenerate
-        );
-        assert_eq!(TracePolicy::from_spec("mystery"), TracePolicy::Encoded);
-        assert_eq!(TracePolicy::default(), TracePolicy::Encoded);
-    }
-
-    #[test]
-    fn trace_policies_produce_identical_rows() {
-        // The residency policy trades memory for compute only: the labeled
-        // rows must be bit-identical whether the simulator decodes the
-        // cached compact trace or re-generates the kernel from scratch.
-        let plan = CollectionPlan {
-            workloads: vec![Workload::Atax],
-            arch_configs: arch_neighborhood().into_iter().take(2).collect(),
-            scale: Scale::tiny(),
-            dedup: true,
-        };
-        let jobs = plan_jobs(&plan);
-        let run_with = |policy| {
-            let cache = ProfileCache::with_policy(&jobs, policy);
-            jobs.iter()
-                .map(|j| execute_job(j, &cache, None, 0).expect("clean job").0)
-                .collect::<Vec<_>>()
-        };
-        let encoded = run_with(TracePolicy::Encoded);
-        let regenerated = run_with(TracePolicy::Regenerate);
-        assert_eq!(encoded, regenerated);
-    }
-
-    #[test]
-    fn encoded_policy_keeps_traces_at_least_4x_smaller() {
+    fn encoded_traces_are_at_least_4x_smaller() {
         let plan = CollectionPlan {
             workloads: vec![Workload::Atax],
             arch_configs: arch_neighborhood().into_iter().take(1).collect(),
             scale: Scale::tiny(),
-            dedup: true,
         };
         let jobs = plan_jobs(&plan);
-        let cache = ProfileCache::with_policy(&jobs, TracePolicy::Encoded);
+        let cache = ProfileCache::for_jobs(&jobs);
         for job in &jobs {
             let point = cache.profiled(job);
-            let ResidentTrace::Encoded(enc) = &point.trace else {
-                panic!("encoded policy must cache an encoded trace");
-            };
+            let trace = point.trace.read().unwrap();
+            let enc = trace.as_ref().expect("no job has simulated yet");
             assert!(
                 enc.encoded_bytes() * 4 <= enc.materialized_bytes(),
                 "{}: {} encoded vs {} materialized bytes",
@@ -1369,12 +1251,36 @@ mod tests {
                 enc.materialized_bytes()
             );
         }
-        // The regenerate policy holds no trace at all.
-        let cache = ProfileCache::with_policy(&jobs, TracePolicy::Regenerate);
-        assert!(matches!(
-            cache.profiled(&jobs[0]).trace,
-            ResidentTrace::Regenerate
-        ));
+    }
+
+    #[test]
+    fn a_point_drops_its_trace_after_its_last_timing_class() {
+        // Atax's first point runs at most 16 threads, so the base, 16-PE
+        // and 2.5 GHz machines of the neighborhood share one class: six
+        // jobs, four classes.
+        let plan = CollectionPlan {
+            workloads: vec![Workload::Atax],
+            arch_configs: arch_neighborhood(),
+            scale: Scale::tiny(),
+        };
+        let jobs: Vec<SimJob> = plan_jobs(&plan)
+            .into_iter()
+            .take(arch_neighborhood().len())
+            .collect();
+        let cache = ProfileCache::for_jobs(&jobs);
+        let point = cache.profiled(&jobs[0]);
+        assert_eq!(point.runs.len(), 4);
+        let held = || point.trace.read().unwrap().is_some();
+        for (i, job) in jobs.iter().enumerate() {
+            assert!(held(), "job {i}: a class still lacks its report");
+            execute_job(job, &cache, None, 0).expect("clean job");
+            let pending = point.runs.iter().any(|r| r.report.get().is_none());
+            assert_eq!(held(), pending, "after job {i}");
+        }
+        assert!(!held(), "every class has its report");
+        // A job of a finished class retargets its report without the trace.
+        let (_, simulate_seconds) = execute_job(&jobs[2], &cache, None, 0).expect("clean job");
+        assert_eq!(simulate_seconds, 0.0, "no second simulation");
     }
 
     /// The headline guarantee: a threaded campaign's output is exactly the
@@ -1386,7 +1292,6 @@ mod tests {
             workloads: vec![Workload::Atax, Workload::Gemv],
             arch_configs: arch_neighborhood().into_iter().take(3).collect(),
             scale: Scale::tiny(),
-            dedup: true,
         };
         let serial = collect_with(&plan, &Serial);
         let threaded = collect_with(&plan, &Threaded::new(3));

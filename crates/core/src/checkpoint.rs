@@ -175,20 +175,21 @@ pub fn encode_entry(hash: u64, run: &LabeledRun) -> String {
 
 /// Decodes one journal line (no trailing newline). `None` on any
 /// malformation — wrong field count, bad hex, unknown workload, missing
-/// sentinel.
+/// sentinel. The declared counts size nothing up front, so a corrupt
+/// count runs out of tokens instead of aborting on an allocation.
 pub fn decode_entry(line: &str) -> Option<(u64, LabeledRun)> {
     let mut tokens = line.split_ascii_whitespace();
     let hash = u64::from_str_radix(tokens.next()?, 16).ok()?;
     let workload = Workload::from_name(tokens.next()?)?;
     let n_params: usize = tokens.next()?.parse().ok()?;
-    let mut params = Vec::with_capacity(n_params);
+    let mut params = Vec::new();
     for _ in 0..n_params {
         params.push(f64::from_bits(
             u64::from_str_radix(tokens.next()?, 16).ok()?,
         ));
     }
     let n_features: usize = tokens.next()?.parse().ok()?;
-    let mut features = Vec::with_capacity(n_features);
+    let mut features = Vec::new();
     for _ in 0..n_features {
         features.push(f64::from_bits(
             u64::from_str_radix(tokens.next()?, 16).ok()?,
@@ -310,6 +311,32 @@ mod tests {
         drop(recovered);
         let again = CheckpointJournal::open(&path).unwrap();
         assert_eq!(again.len(), 4);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_forged_count_is_a_corrupt_tail_not_an_abort() {
+        let path = temp_journal("forged");
+        let journal = CheckpointJournal::open(&path).unwrap();
+        for i in 0..2 {
+            journal.record(i, &sample_run(i));
+        }
+        drop(journal);
+        let clean_len = std::fs::metadata(&path).unwrap().len();
+        // Counts that would size a multi-petabyte vector if trusted.
+        let mut text = std::fs::read_to_string(&path).unwrap();
+        text.push_str("0000000000000009 atax 99999999999999 3ff0 ok\n");
+        text.push_str("000000000000000a atax 0 99999999999999 ok\n");
+        std::fs::write(&path, &text).unwrap();
+
+        let recovered = CheckpointJournal::open(&path).unwrap();
+        assert_eq!(recovered.len(), 2, "entries before the forged line survive");
+        assert_eq!(recovered.restored(1), Some(&sample_run(1)));
+        assert_eq!(
+            std::fs::metadata(&path).unwrap().len(),
+            clean_len,
+            "the forged line and everything after it are truncated"
+        );
         std::fs::remove_file(&path).ok();
     }
 

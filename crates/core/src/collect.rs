@@ -25,11 +25,6 @@ pub struct CollectionPlan {
     pub arch_configs: Vec<ArchConfig>,
     /// Input-shrinking policy.
     pub scale: Scale,
-    /// Deduplicate coincident CCD points (center replicates) before
-    /// simulating — our simulator is deterministic, so re-running the
-    /// center adds time but no information. Table 4 counts include the
-    /// replicates either way.
-    pub dedup: bool,
 }
 
 impl Default for CollectionPlan {
@@ -38,7 +33,6 @@ impl Default for CollectionPlan {
             workloads: Workload::ALL.to_vec(),
             arch_configs: vec![ArchConfig::paper_default()],
             scale: Scale::laptop(),
-            dedup: true,
         }
     }
 }
@@ -249,7 +243,6 @@ mod tests {
             workloads: vec![Workload::Atax],
             arch_configs: archs.clone(),
             scale: Scale::tiny(),
-            dedup: true,
         };
         let set = collect(&plan);
         let a = archs.len();

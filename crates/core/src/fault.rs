@@ -88,9 +88,8 @@ impl FaultPolicy {
 /// as the rest of this module).
 ///
 /// Shared by the two retry paths in the workspace: the campaign's
-/// panicking-job retries ([`CampaignOptions::backoff`]) and `napel-serve`'s
-/// worker-restart supervision, so a fault storm backs off identically in
-/// both runtimes.
+/// panicking-job retries (its [`Default`] schedule) and `napel-serve`'s
+/// worker-restart supervision (its own values).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Backoff {
     /// Delay before the first retry (attempt 0).
@@ -103,12 +102,6 @@ impl Backoff {
     /// A schedule starting at `base` and doubling up to `cap`.
     pub const fn new(base: Duration, cap: Duration) -> Backoff {
         Backoff { base, cap }
-    }
-
-    /// A schedule that never waits (the pre-backoff immediate-retry
-    /// behavior, and the right choice for unit tests).
-    pub const fn none() -> Backoff {
-        Backoff::new(Duration::ZERO, Duration::ZERO)
     }
 
     /// The delay before retry `attempt` (0-based): `base · 2^attempt`,
@@ -144,15 +137,11 @@ pub struct CampaignOptions {
     /// Extra attempts granted to a *panicking* job before it is declared
     /// failed (0 = one attempt, no retry). Retries are deterministic:
     /// attempt numbers are part of the job's identity, so a retried
-    /// campaign is replayable. Invalid labels are never retried — a
-    /// deterministic simulator returns the same bad label every time.
+    /// campaign is replayable. Each retry first waits out the
+    /// [`Backoff::default`] schedule's delay. Invalid labels are never
+    /// retried — a deterministic simulator returns the same bad label
+    /// every time.
     pub retries: u32,
-    /// Delay schedule between a panicking job's attempts. Retrying
-    /// immediately is the wrong move for the faults retries exist for
-    /// (transient resource exhaustion); the default backs off 25 ms,
-    /// 50 ms, 100 ms, ... capped at 2 s. Use [`Backoff::none`] to restore
-    /// immediate retries (e.g. in unit tests).
-    pub backoff: Backoff,
     /// Append-only checkpoint journal path. When set, every completed
     /// job's row is journaled, and jobs whose descriptor hash is already
     /// present are restored without recomputation — which is what lets a
@@ -223,12 +212,6 @@ impl CampaignOptions {
     /// Replaces the retry budget.
     pub fn with_retries(mut self, retries: u32) -> Self {
         self.retries = retries;
-        self
-    }
-
-    /// Replaces the retry backoff schedule.
-    pub fn with_backoff(mut self, backoff: Backoff) -> Self {
-        self.backoff = backoff;
         self
     }
 
@@ -507,22 +490,6 @@ mod tests {
         assert_eq!(b.delay(u32::MAX), Duration::from_secs(2));
         // The schedule is deterministic: same attempt, same delay.
         assert_eq!(b.delay(4), b.delay(4));
-    }
-
-    #[test]
-    fn backoff_none_never_waits() {
-        let b = Backoff::none();
-        for attempt in [0, 1, 10, 63, u32::MAX] {
-            assert_eq!(b.delay(attempt), Duration::ZERO);
-        }
-    }
-
-    #[test]
-    fn default_options_carry_the_default_schedule() {
-        let opts = CampaignOptions::default();
-        assert_eq!(opts.backoff, Backoff::default());
-        let opts = opts.with_backoff(Backoff::none());
-        assert_eq!(opts.backoff, Backoff::none());
     }
 
     #[test]

@@ -15,7 +15,7 @@
 use std::io::{self, Read, Write};
 
 use crate::inst::{Inst, Opcode};
-use crate::trace::{MultiTrace, TraceSink};
+use crate::trace::{MultiTrace, Trace, TraceSink};
 
 const MAGIC: &[u8; 8] = b"NAPLTRC1";
 
@@ -64,10 +64,12 @@ pub fn read_trace<R: Read>(mut r: R) -> io::Result<MultiTrace> {
             "trace has zero threads",
         ));
     }
-    let mut trace = MultiTrace::new(threads);
-    for t in 0..threads {
+    // Threads are kept as they arrive, so a forged thread count fails as a
+    // truncated stream instead of sizing an allocation.
+    let mut lanes = Vec::new();
+    for _ in 0..threads {
         let count = read_u64(&mut r)?;
-        let sink = trace.thread_sink(t);
+        let mut lane = Trace::new();
         for _ in 0..count {
             let pc = read_u32(&mut r)?;
             let mut two = [0u8; 2];
@@ -78,7 +80,7 @@ pub fn read_trace<R: Read>(mut r: R) -> io::Result<MultiTrace> {
             let src0 = read_u32(&mut r)?;
             let src1 = read_u32(&mut r)?;
             let addr = read_u64(&mut r)?;
-            sink.record(Inst {
+            lane.record(Inst {
                 pc,
                 op,
                 size,
@@ -87,6 +89,11 @@ pub fn read_trace<R: Read>(mut r: R) -> io::Result<MultiTrace> {
                 addr,
             });
         }
+        lanes.push(lane);
+    }
+    let mut trace = MultiTrace::new(lanes.len());
+    for (t, lane) in lanes.into_iter().enumerate() {
+        *trace.thread_sink(t) = lane;
     }
     Ok(trace)
 }
@@ -150,6 +157,15 @@ mod tests {
         write_trace(&sample_trace(), &mut buf).unwrap();
         buf.truncate(buf.len() - 3);
         assert!(read_trace(buf.as_slice()).is_err());
+    }
+
+    #[test]
+    fn forged_thread_count_is_a_truncation_error() {
+        let mut buf = MAGIC.to_vec();
+        buf.extend_from_slice(&u32::MAX.to_le_bytes());
+        buf.extend_from_slice(&0u64.to_le_bytes());
+        let err = read_trace(buf.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
     }
 
     #[test]

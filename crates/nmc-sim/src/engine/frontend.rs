@@ -31,7 +31,6 @@ use crate::config::ArchConfig;
 
 use super::arena::{LoadArena, ReqKey};
 use super::vault::{QueuedReq, VaultQueues};
-use super::InstSource;
 
 /// Scoreboard tag: an entry with this bit set holds the arena slot of the
 /// in-flight load that defines the register (the newest def) instead of
@@ -182,10 +181,10 @@ impl PeFrontend {
     }
 
     /// Runs ahead until the PE blocks on an unresolved load or exhausts its
-    /// streams.
-    pub fn advance<S: InstSource + ?Sized>(
+    /// streams. `streams[t]` is software thread `t`'s instruction stream.
+    pub fn advance<I: Iterator<Item = Inst>>(
         &mut self,
-        source: &mut S,
+        streams: &mut [I],
         sh: &mut EngineShared<'_>,
     ) -> FrontendStatus {
         loop {
@@ -194,7 +193,7 @@ impl PeFrontend {
                 None => loop {
                     match self.threads.get(self.cursor) {
                         None => return FrontendStatus::Exhausted,
-                        Some(&t) => match source.next(t) {
+                        Some(&t) => match streams[t].next() {
                             Some(i) => break i,
                             None => self.cursor += 1,
                         },

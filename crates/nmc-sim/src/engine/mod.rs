@@ -128,14 +128,15 @@ impl NmcSystem {
         (cfg.num_pes as f64 * e.pe_static_w + e.dram_static_w) * seconds * 1e12
     }
 
-    /// Simulates one kernel execution.
+    /// Simulates one kernel execution: [`run_streams`](Self::run_streams)
+    /// over the trace's per-thread instruction slices.
     ///
     /// When telemetry is enabled, the run is wrapped in an `nmc_sim.run`
     /// span and the report's cache/DRAM counters are mirrored into the
     /// metrics registry after the fact — instrumentation never touches
     /// the timing model, so cycle results are bit-identical either way.
     pub fn run(&self, trace: &MultiTrace) -> SimReport {
-        SimEngine::new().run(self, trace)
+        self.run_streams(slice_streams(trace))
     }
 
     /// Simulates one kernel execution from per-thread instruction streams,
@@ -147,11 +148,11 @@ impl NmcSystem {
     /// per instruction, as its PE advances; peak residency is one
     /// instruction per stream plus whatever the iterators themselves hold.
     ///
-    /// [`run`](Self::run) uses the same engine, so both entry points produce
-    /// bit-identical [`SimReport`]s and identical telemetry for the same
-    /// instruction sequences. `ExactSizeIterator` is required only to
-    /// report the total instruction count on the `nmc_sim.run` span before
-    /// simulation starts.
+    /// [`run`](Self::run) feeds a materialized trace through here, so both
+    /// entry points produce bit-identical [`SimReport`]s and identical
+    /// telemetry for the same instruction sequences. `ExactSizeIterator` is
+    /// required only to report the total instruction count on the
+    /// `nmc_sim.run` span before simulation starts.
     ///
     /// Campaign code that simulates many jobs per worker should hold a
     /// [`SimEngine`] and call [`SimEngine::run_streams`] instead, which
@@ -166,12 +167,7 @@ impl NmcSystem {
     /// [`run`](Self::run) on the reference engine (the original global
     /// min-heap interleave). Exists as the differential-test oracle.
     pub fn run_reference(&self, trace: &MultiTrace) -> SimReport {
-        self.run_streams_reference(
-            trace
-                .iter()
-                .map(|t| t.insts().iter().copied())
-                .collect::<Vec<_>>(),
-        )
+        self.run_streams_reference(slice_streams(trace))
     }
 
     /// [`run_streams`](Self::run_streams) on the reference engine.
@@ -183,59 +179,9 @@ impl NmcSystem {
     }
 }
 
-/// Pull-model instruction supply: the engine asks for thread `t`'s next
-/// instruction; implementations stream from whatever backs the trace.
-pub(crate) trait InstSource {
-    fn num_threads(&self) -> usize;
-    /// Total instructions across all threads (span attribute only; read
-    /// once, before any `next` call).
-    fn total_insts(&self) -> u64;
-    fn next(&mut self, thread: usize) -> Option<Inst>;
-}
-
-struct VecStreams<I>(Vec<I>);
-
-impl<I: ExactSizeIterator<Item = Inst>> InstSource for VecStreams<I> {
-    fn num_threads(&self) -> usize {
-        self.0.len()
-    }
-
-    fn total_insts(&self) -> u64 {
-        self.0.iter().map(|s| s.len() as u64).sum()
-    }
-
-    fn next(&mut self, thread: usize) -> Option<Inst> {
-        self.0[thread].next()
-    }
-}
-
-/// Streams a borrowed [`MultiTrace`] through engine-owned cursors — no
-/// per-run collection of iterators.
-struct TraceSource<'a> {
-    trace: &'a MultiTrace,
-    cursors: Vec<usize>,
-}
-
-impl InstSource for TraceSource<'_> {
-    fn num_threads(&self) -> usize {
-        self.trace.num_threads()
-    }
-
-    fn total_insts(&self) -> u64 {
-        self.trace.total_insts() as u64
-    }
-
-    #[inline]
-    fn next(&mut self, thread: usize) -> Option<Inst> {
-        let insts = self.trace.thread(thread).insts();
-        let c = self.cursors[thread];
-        if c < insts.len() {
-            self.cursors[thread] = c + 1;
-            Some(insts[c])
-        } else {
-            None
-        }
-    }
+/// A materialized trace as per-thread instruction streams.
+fn slice_streams(trace: &MultiTrace) -> Vec<std::iter::Copied<std::slice::Iter<'_, Inst>>> {
+    trace.iter().map(|t| t.insts().iter().copied()).collect()
 }
 
 /// The phase-split simulation engine, with all working state owned and
@@ -259,7 +205,6 @@ pub struct SimEngine {
     runnable: Vec<u32>,
     blocked: Vec<u32>,
     woken: Vec<u32>,
-    trace_cursors: Vec<usize>,
     /// `(threads, instructions)` of the trace the frontends last ran.
     trace_shape: (usize, u64),
 }
@@ -268,27 +213,6 @@ impl SimEngine {
     /// Creates an empty engine; buffers grow on first use.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Simulates `trace` on `system`. Equivalent to [`NmcSystem::run`] but
-    /// reuses this engine's buffers.
-    pub fn run(&mut self, system: &NmcSystem, trace: &MultiTrace) -> SimReport {
-        let mut cursors = std::mem::take(&mut self.trace_cursors);
-        cursors.clear();
-        cursors.resize(trace.num_threads(), 0);
-        let mut source = TraceSource { trace, cursors };
-        let report = self.run_source(system, &mut source);
-        self.trace_cursors = source.cursors;
-        report
-    }
-
-    /// Simulates per-thread streams on `system`. Equivalent to
-    /// [`NmcSystem::run_streams`] but reuses this engine's buffers.
-    pub fn run_streams<I>(&mut self, system: &NmcSystem, streams: Vec<I>) -> SimReport
-    where
-        I: ExactSizeIterator<Item = Inst>,
-    {
-        self.run_source(system, &mut VecStreams(streams))
     }
 
     /// Resets all run state for `cfg`, keeping every allocation whose
@@ -321,14 +245,15 @@ impl SimEngine {
         self.woken.clear();
     }
 
-    fn run_source<S: InstSource + ?Sized>(
-        &mut self,
-        system: &NmcSystem,
-        source: &mut S,
-    ) -> SimReport {
+    /// Simulates per-thread streams on `system`. Equivalent to
+    /// [`NmcSystem::run_streams`] but reuses this engine's buffers.
+    pub fn run_streams<I>(&mut self, system: &NmcSystem, mut streams: Vec<I>) -> SimReport
+    where
+        I: ExactSizeIterator<Item = Inst>,
+    {
         let cfg = system.config();
-        let num_threads = source.num_threads();
-        let total_insts = source.total_insts();
+        let num_threads = streams.len();
+        let total_insts: u64 = streams.iter().map(|s| s.len() as u64).sum();
         let telemetry = napel_telemetry::global();
         let _span = telemetry
             .span("nmc_sim.run")
@@ -368,7 +293,7 @@ impl SimEngine {
                     geometry,
                     energy,
                 };
-                match frontends[p as usize].advance(source, &mut sh) {
+                match frontends[p as usize].advance(&mut streams, &mut sh) {
                     FrontendStatus::Blocked => blocked.push(p),
                     FrontendStatus::Exhausted => {}
                 }
@@ -619,8 +544,9 @@ mod tests {
         // One engine simulating different traces and configs back to back
         // must leave no state behind between runs. The six configurations
         // are the campaign's `arch_neighborhood()` (napel-core), cycled
-        // point by point the way a campaign worker meets them, twice; the
-        // thread counts sit below, between and above their 16 and 32 PEs.
+        // point by point the way a campaign worker meets them, twice, each
+        // fed from encoded streams as the campaign feeds it; the thread
+        // counts sit below, between and above their 16 and 32 PEs.
         let base = ArchConfig::paper_default();
         let neighborhood = [
             base.clone(),
@@ -655,11 +581,12 @@ mod tests {
         let mut engine = SimEngine::new();
         for round in 0..2 {
             for (ti, t) in traces.iter().enumerate() {
+                let enc = napel_ir::EncodedTrace::from_multi(t);
                 for cfg in &neighborhood {
                     let sys = NmcSystem::new(cfg.clone());
                     assert_eq!(
-                        engine.run(&sys, t),
-                        NmcSystem::new(cfg.clone()).run(t),
+                        engine.run_streams(&sys, enc.thread_iters()),
+                        sys.run(t),
                         "round {round}, trace {ti}: {cfg:?}"
                     );
                 }

@@ -21,7 +21,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         workloads: vec![Workload::Bfs, Workload::Bp, Workload::Gemv, Workload::Mvt],
         arch_configs: arch_neighborhood(),
         scale,
-        ..Default::default()
     };
     let trained = Napel::new(NapelConfig::untuned()).train(&collect(&plan))?;
 

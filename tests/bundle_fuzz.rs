@@ -12,6 +12,7 @@ use proptest::prelude::*;
 
 use napel::core::collect::{collect, CollectionPlan};
 use napel::core::model::{Napel, NapelConfig, TrainedNapel};
+use napel::core::NapelError;
 use napel::workloads::{Scale, Workload};
 
 /// The serialized text of one tiny trained bundle, produced once —
@@ -69,6 +70,37 @@ fn assert_decode_is_total(bytes: &[u8], what: &str) -> bool {
             assert!(!message.is_empty(), "{what}: empty diagnostic");
             false
         }
+    }
+}
+
+/// A forged count sizes nothing: a grid line declaring far more
+/// candidate lines than the document holds is a typed error, not an
+/// allocation abort that would take an inference server down with it.
+#[test]
+fn a_forged_grid_count_is_a_typed_error() {
+    let text = bundle_text();
+    let forged: String = text
+        .lines()
+        .map(|line| {
+            if line.starts_with("grid ") {
+                "grid 99999999999999"
+            } else {
+                line
+            }
+        })
+        .collect::<Vec<_>>()
+        .join("\n");
+    assert_ne!(forged, text.trim_end(), "the bundle has a grid line");
+    let path = scratch_file("forged-grid");
+    std::fs::write(&path, forged).expect("write case");
+    let outcome = TrainedNapel::load(&path);
+    std::fs::remove_file(&path).ok();
+    match outcome {
+        Err(NapelError::Artifact { what, .. }) => {
+            assert!(what.contains("document ends"), "{what}");
+        }
+        Err(other) => panic!("expected an artifact error, got {other}"),
+        Ok(_) => panic!("a bundle with a forged grid count decoded"),
     }
 }
 

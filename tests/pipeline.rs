@@ -127,7 +127,6 @@ fn architecture_variation_shows_up_in_labels() {
         workloads: vec![Workload::Gemv],
         arch_configs: arch_neighborhood(),
         scale: Scale::tiny(),
-        dedup: true,
     };
     let set = collect(&plan);
     // For a fixed input configuration, different architectures must

@@ -16,22 +16,25 @@
 //!   the reused engine, the five non-default shapes of the campaign's
 //!   `arch_neighborhood()` sweep (16 PEs, 2.5 GHz, 8 cache lines,
 //!   16 vaults × 4 layers, 2-issue),
-//! - both trace entries: materialized [`MultiTrace`] and compact-encoded
-//!   per-thread streams (the two `TracePolicy` residencies),
-//! - Serial and Threaded campaign executors, both residency policies,
-//!   with rows checked against reference-engine labels, on one
-//!   architecture and on `arch_neighborhood()`, where jobs of one timing
-//!   class share a simulation,
+//! - both trace forms, through the engine's one entry
+//!   ([`SimEngine::run_streams`]): a materialized [`MultiTrace`]'s
+//!   per-thread slices ([`NmcSystem::run`]) and compact-encoded
+//!   per-thread streams, the form the campaign keeps; the reused engine
+//!   is fed encoded streams, as a campaign worker feeds it,
+//! - Serial and Threaded campaign executors, with rows checked against
+//!   reference-engine labels of a freshly generated and profiled trace,
+//!   on one architecture and on `arch_neighborhood()`, where jobs of one
+//!   timing class share a simulation and a point's trace is dropped after
+//!   its last one,
 //! - timing classes: a report retargeted from another system of the same
 //!   class equals that system's own run bit for bit, and every field the
 //!   engine reads separates classes.
 
-use napel::core::campaign::{
-    plan_jobs, run_jobs, ProfileCache, ResidentTrace, Serial, SimJob, Threaded, TracePolicy,
-};
+use napel::core::campaign::{plan_jobs, run_jobs, Serial, SimJob, Threaded};
 use napel::core::collect::{arch_neighborhood, CollectionPlan};
 use napel::core::features::LabeledRun;
 use napel::ir::{Emitter, EncodedTrace, MultiTrace};
+use napel::pisa::ProfileObserver;
 use napel::sim::energy::EnergyModel;
 use napel::sim::{ArchConfig, DramTiming, NmcSystem, RowPolicy, SimEngine, SimReport};
 use napel::workloads::{Scale, Workload};
@@ -76,7 +79,7 @@ fn phase_engine_is_field_identical_to_reference_on_all_kernels() {
             assert_eq!(phase, reference, "{w} on {name} (materialized)");
 
             // Same invariant feeding the engine from compact-encoded
-            // streams (the TracePolicy::Encoded residency).
+            // streams (the form the campaign keeps).
             let enc = EncodedTrace::from_multi(&trace);
             let streamed = sys.run_streams(enc.thread_iters());
             assert_eq!(streamed, reference, "{w} on {name} (encoded streams)");
@@ -89,9 +92,9 @@ fn phase_engine_is_field_identical_to_reference_on_all_kernels() {
 #[test]
 fn reused_engine_is_field_identical_to_reference_on_all_kernels() {
     // One engine across every kernel × config, the way a campaign worker
-    // drives it: buffer reuse must leave no state behind between runs.
-    // The neighborhood's first shape is the paper default, already in
-    // `arch_configs()`.
+    // drives it — from encoded streams: buffer reuse must leave no state
+    // behind between runs. The neighborhood's first shape is the paper
+    // default, already in `arch_configs()`.
     let neighborhood = arch_neighborhood();
     assert_eq!(neighborhood[0], ArchConfig::paper_default());
     let shapes = arch_configs().into_iter().chain(
@@ -100,14 +103,21 @@ fn reused_engine_is_field_identical_to_reference_on_all_kernels() {
             .skip(1)
             .map(|arch| ("arch_neighborhood", arch)),
     );
+    let traces: Vec<(Workload, MultiTrace, EncodedTrace)> = Workload::ALL
+        .into_iter()
+        .map(|w| {
+            let trace = w.generate_test(Scale::tiny());
+            let enc = EncodedTrace::from_multi(&trace);
+            (w, trace, enc)
+        })
+        .collect();
     let mut engine = SimEngine::new();
     for (name, arch) in shapes {
         let sys = NmcSystem::new(arch);
-        for w in Workload::ALL {
-            let trace = w.generate_test(Scale::tiny());
-            let reference = sys.run_reference(&trace);
+        for (w, trace, enc) in &traces {
+            let reference = sys.run_reference(trace);
             assert_eq!(
-                engine.run(&sys, &trace),
+                engine.run_streams(&sys, enc.thread_iters()),
                 reference,
                 "{w} on {name}: {:?}",
                 sys.config()
@@ -321,31 +331,27 @@ fn retargeted_runs_equal_fresh_runs_within_a_timing_class() {
     }
 }
 
-/// Simulates a job's trace (under `policy` residency) with the reference
-/// engine, producing the labeled row the campaign is expected to emit.
-fn reference_row(job: &SimJob, cache: &ProfileCache) -> (LabeledRun, SimReport) {
-    let point = cache.profiled(job);
-    let sys = NmcSystem::new(job.arch.clone());
-    let report = match &point.trace {
-        ResidentTrace::Encoded(enc) => sys.run_streams_reference(enc.thread_iters()),
-        ResidentTrace::Regenerate => {
-            sys.run_reference(&job.workload.generate(&job.coords, job.scale))
-        }
-    };
-    let run = LabeledRun::from_report_checked(
+/// The labeled row the campaign is expected to emit for `job`, from
+/// scratch: the kernel profiled afresh, and a freshly generated trace
+/// simulated on the reference engine.
+fn reference_row(job: &SimJob) -> LabeledRun {
+    let mut observer = ProfileObserver::new();
+    job.workload
+        .generate_into(&job.coords, job.scale, &mut observer);
+    let trace = job.workload.generate(&job.coords, job.scale);
+    let report = NmcSystem::new(job.arch.clone()).run_reference(&trace);
+    LabeledRun::from_report_checked(
         job.workload,
         job.coords.clone(),
-        &point.profile,
+        &observer.finish(),
         &job.arch,
         &report,
     )
-    .expect("reference rows satisfy the schema");
-    (run, report)
+    .expect("reference rows satisfy the schema")
 }
 
 /// Runs `jobs` through the campaign on Serial and Threaded executors and
-/// checks every row against a fresh reference-engine run of its own job,
-/// under both trace residency policies.
+/// checks every row against a reference-engine run of its own job.
 fn assert_campaign_matches_reference(jobs: &[SimJob]) {
     let (serial, _) = run_jobs(&Serial, jobs);
     let (threaded, _) = run_jobs(&Threaded::new(4), jobs);
@@ -353,26 +359,22 @@ fn assert_campaign_matches_reference(jobs: &[SimJob]) {
         serial, threaded,
         "Serial and Threaded must agree row for row"
     );
-    for policy in [TracePolicy::Encoded, TracePolicy::Regenerate] {
-        let cache = ProfileCache::with_policy(jobs, policy);
-        for (job, produced) in jobs.iter().zip(&serial) {
-            let (expected, _) = reference_row(job, &cache);
-            assert_eq!(
-                produced,
-                &expected,
-                "{policy:?}: campaign row diverges from the reference engine for {}",
-                job.describe()
-            );
-        }
+    for (job, produced) in jobs.iter().zip(&serial) {
+        assert_eq!(
+            produced,
+            &reference_row(job),
+            "campaign row diverges from the reference engine for {}",
+            job.describe()
+        );
     }
 }
 
 #[test]
-fn campaign_rows_match_reference_labels_across_executors_and_policies() {
+fn campaign_rows_match_reference_labels_across_executors() {
     // End-to-end: the real campaign path (which runs the phase-split
-    // engine through per-worker engine reuse) must produce rows identical
-    // to reference-engine labels, under both executors and both trace
-    // residency policies.
+    // engine through per-worker engine reuse, from encoded traces it
+    // drops after each point's last simulation) must produce rows
+    // identical to reference-engine labels, under both executors.
     let plan = CollectionPlan {
         workloads: vec![Workload::Gemv, Workload::Bp],
         scale: Scale::tiny(),
@@ -388,7 +390,6 @@ fn campaign_rows_match_reference_labels_across_executors_and_policies() {
         workloads: vec![Workload::Gemv, Workload::Atax],
         arch_configs: arch_neighborhood(),
         scale: Scale::tiny(),
-        dedup: true,
     };
     let threads = |job: &SimJob| {
         let spec = job.workload.spec();

@@ -12,7 +12,8 @@
 //!    materialized trace.
 //! 3. **Campaign equivalence** — a full campaign over the streaming
 //!    single-pass path produces the same labeled rows under the Serial
-//!    and the Threaded executor, and under both trace-residency policies.
+//!    and the Threaded executor, equal to rows profiled and simulated
+//!    from a freshly generated, materialized trace.
 //! 4. **Residency** — the compact encoding stays at or under 8 bytes per
 //!    instruction, at least 4× below the 32-byte materialized form.
 //! 5. **Profiler equivalence** — the observer reproduces, bit for bit, the
@@ -21,9 +22,7 @@
 //!    every Table 2 workload's test and level inputs and on random raw
 //!    instruction streams.
 
-use napel::core::campaign::{
-    plan_jobs, ProfileCache, ResidentTrace, Serial, Threaded, TracePolicy,
-};
+use napel::core::campaign::{plan_jobs, Serial, Threaded};
 use napel::core::collect::{collect_with, CollectionPlan};
 use napel::ir::{
     EncodedTrace, EncodedTraceSink, Inst, MultiTrace, Opcode, TeeSink, ThreadedTraceSink,
@@ -121,11 +120,12 @@ fn encoded_traces_stay_within_the_residency_budget() {
 }
 
 #[test]
-fn campaign_rows_are_identical_across_executors_and_policies() {
+fn campaign_rows_are_identical_across_executors() {
     // Two workloads × the default architecture neighborhood, through the
     // real campaign entry point. Rows (features AND labels) must be
-    // bit-identical across executor and trace-residency choices; floats
-    // are compared via `LabeledRun: PartialEq` (exact equality).
+    // bit-identical across executors, and equal to rows built from a
+    // freshly generated trace; floats are compared via
+    // `LabeledRun: PartialEq` (exact equality).
     let plan = CollectionPlan {
         workloads: vec![Workload::Atax, Workload::Gesu],
         scale: Scale::tiny(),
@@ -139,34 +139,24 @@ fn campaign_rows_are_identical_across_executors_and_policies() {
         "threaded streaming campaign must match serial"
     );
 
-    // Policy sweep via the cache: the rows a job produces do not depend
-    // on how its trace stays resident.
-    let jobs = plan_jobs(&plan);
-    for policy in [TracePolicy::Encoded, TracePolicy::Regenerate] {
-        let cache = ProfileCache::with_policy(&jobs, policy);
-        for (job, expected) in jobs.iter().zip(&serial.runs) {
-            let point = cache.profiled(job);
-            let sys = NmcSystem::new(job.arch.clone());
-            let report = match &point.trace {
-                ResidentTrace::Encoded(enc) => sys.run_streams(
-                    (0..enc.num_threads())
-                        .map(|t| enc.thread_iter(t))
-                        .collect::<Vec<_>>(),
-                ),
-                ResidentTrace::Regenerate => {
-                    sys.run(&job.workload.generate(&job.coords, job.scale))
-                }
-            };
-            let run = napel::core::features::LabeledRun::from_report_checked(
-                job.workload,
-                job.coords.clone(),
-                &point.profile,
-                &job.arch,
-                &report,
-            )
-            .expect("schema");
-            assert_eq!(&run, expected, "{policy:?} {}", job.describe());
-        }
+    // The campaign profiles and simulates a point from its encoded trace
+    // in one pass; the rows must equal profiling and simulating a freshly
+    // generated, materialized trace.
+    for (job, expected) in plan_jobs(&plan).iter().zip(&serial.runs) {
+        let mut observer = ProfileObserver::new();
+        job.workload
+            .generate_into(&job.coords, job.scale, &mut observer);
+        let trace = job.workload.generate(&job.coords, job.scale);
+        let report = NmcSystem::new(job.arch.clone()).run(&trace);
+        let run = napel::core::features::LabeledRun::from_report_checked(
+            job.workload,
+            job.coords.clone(),
+            &observer.finish(),
+            &job.arch,
+            &report,
+        )
+        .expect("schema");
+        assert_eq!(&run, expected, "{}", job.describe());
     }
 }
 
