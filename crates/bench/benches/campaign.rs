@@ -10,7 +10,8 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 
 use napel_core::campaign::{plan_jobs, Serial, Threaded};
-use napel_core::collect::{arch_neighborhood, collect_with, CollectionPlan};
+use napel_core::collect::{arch_neighborhood, collect, CollectionPlan};
+use napel_core::fault::CampaignOptions;
 use napel_workloads::{Scale, Workload};
 
 fn tiny_plan() -> CollectionPlan {
@@ -24,17 +25,18 @@ fn tiny_plan() -> CollectionPlan {
 fn bench_campaign(c: &mut Criterion) {
     let plan = tiny_plan();
     let jobs = plan_jobs(&plan).len() as u64;
+    let opts = CampaignOptions::default();
 
     let mut group = c.benchmark_group("campaign");
     group.sample_size(10);
     group.throughput(Throughput::Elements(jobs));
     group.bench_function("serial", |b| {
-        b.iter(|| black_box(collect_with(&plan, &Serial)))
+        b.iter(|| black_box(collect(&plan, &Serial, &opts).unwrap()))
     });
     for workers in [2usize, 4] {
         let exec = Threaded::new(workers);
         group.bench_function(&format!("threaded-{workers}"), |b| {
-            b.iter(|| black_box(collect_with(&plan, &exec)))
+            b.iter(|| black_box(collect(&plan, &exec, &opts).unwrap()))
         });
     }
     group.finish();

@@ -1,17 +1,16 @@
 //! Overhead of the supervised, fault-tolerant campaign runtime.
 //!
-//! Three conditions on the same tiny batch as the `campaign` bench:
-//! the raw engine (`run_jobs`), the supervised runtime on a clean run
-//! (per-job `catch_unwind`, label validation, outcome bookkeeping), and
-//! the supervised runtime under quarantine with injected faults (every
-//! fourth job panics once, so the retry path is exercised too). The
-//! interesting number is the clean-supervised vs raw gap — the price
-//! every campaign pays for isolation — which should be noise next to
+//! Two conditions on the same tiny batch as the `campaign` bench: the
+//! supervised runtime on a clean run (per-job `catch_unwind`, label
+//! validation, outcome bookkeeping — the path every campaign takes), and
+//! the same runtime under quarantine with injected faults (every fourth
+//! job panics). The interesting number is the faulty vs clean gap — what
+//! catching, itemizing and skipping a failed job costs — next to
 //! simulation time.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 
-use napel_core::campaign::{plan_jobs, run_jobs, run_supervised, Serial};
+use napel_core::campaign::{plan_jobs, run_supervised, Serial};
 use napel_core::collect::{arch_neighborhood, CollectionPlan};
 use napel_core::fault::{CampaignOptions, FaultInjector};
 use napel_workloads::{Scale, Workload};
@@ -32,8 +31,6 @@ fn bench_faults(c: &mut Criterion) {
     group.sample_size(10);
     group.throughput(Throughput::Elements(jobs.len() as u64));
 
-    group.bench_function("raw", |b| b.iter(|| black_box(run_jobs(&Serial, &jobs))));
-
     let clean = CampaignOptions::default();
     group.bench_function("supervised-clean", |b| {
         b.iter(|| black_box(run_supervised(&Serial, &jobs, &clean).unwrap()))
@@ -41,11 +38,9 @@ fn bench_faults(c: &mut Criterion) {
 
     let mut injector = FaultInjector::new();
     for index in (0..jobs.len()).step_by(4) {
-        injector = injector.panic_once_at(index);
+        injector = injector.panic_at(index);
     }
-    let faulty = CampaignOptions::quarantine()
-        .with_retries(1)
-        .with_injector(injector);
+    let faulty = CampaignOptions::quarantine().with_injector(injector);
     group.bench_function("supervised-faulty", |b| {
         b.iter(|| black_box(run_supervised(&Serial, &jobs, &faulty).unwrap()))
     });

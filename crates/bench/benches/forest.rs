@@ -2,18 +2,22 @@
 //! columns of Table 4 at the ML level).
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use napel_core::campaign::AnyExecutor;
 use napel_core::collect::{collect, CollectionPlan};
+use napel_core::fault::CampaignOptions;
 use napel_ml::forest::RandomForestParams;
 use napel_ml::{Estimator, Regressor};
 use napel_workloads::{Scale, Workload};
 use rand::{rngs::StdRng, SeedableRng};
 
 fn bench_forest(c: &mut Criterion) {
-    let set = collect(&CollectionPlan {
+    let plan = CollectionPlan {
         workloads: vec![Workload::Atax, Workload::Gemv, Workload::Mvt],
         scale: Scale::tiny(),
         ..Default::default()
-    });
+    };
+    let (set, _) = collect(&plan, &AnyExecutor::from_env(), &CampaignOptions::default())
+        .expect("clean campaign");
     let data = set.ipc_dataset().expect("dataset");
     let params = RandomForestParams::default();
     let model = params

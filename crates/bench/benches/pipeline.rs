@@ -2,7 +2,9 @@
 //! per-configuration simulate-vs-predict gap behind Figure 4.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use napel_core::collect::{collect_app, CollectionPlan};
+use napel_core::campaign::AnyExecutor;
+use napel_core::collect::{collect, CollectionPlan};
+use napel_core::fault::CampaignOptions;
 use napel_core::model::{Napel, NapelConfig};
 use napel_pisa::ApplicationProfile;
 use napel_workloads::{Scale, Workload};
@@ -11,6 +13,8 @@ use nmc_sim::{ArchConfig, NmcSystem};
 fn bench_pipeline(c: &mut Criterion) {
     let mut g = c.benchmark_group("pipeline");
     g.sample_size(10);
+    let exec = AnyExecutor::from_env();
+    let opts = CampaignOptions::default();
 
     let plan = CollectionPlan {
         workloads: vec![Workload::Atax],
@@ -18,15 +22,16 @@ fn bench_pipeline(c: &mut Criterion) {
         ..Default::default()
     };
     g.bench_function("collect_atax_tiny", |b| {
-        b.iter(|| collect_app(Workload::Atax, &plan))
+        b.iter(|| collect(&plan, &exec, &opts).expect("clean campaign"))
     });
 
     // Simulate-vs-predict, the Figure 4 per-configuration gap.
-    let set = napel_core::collect::collect(&CollectionPlan {
+    let plan = CollectionPlan {
         workloads: vec![Workload::Atax, Workload::Gemv, Workload::Mvt],
         scale: Scale::tiny(),
         ..Default::default()
-    });
+    };
+    let (set, _) = collect(&plan, &exec, &opts).expect("clean campaign");
     let trained = Napel::new(NapelConfig::untuned())
         .train(&set)
         .expect("train");

@@ -10,7 +10,8 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 
 use napel_core::campaign::{plan_jobs, Serial};
-use napel_core::collect::{arch_neighborhood, collect_with, CollectionPlan};
+use napel_core::collect::{arch_neighborhood, collect, CollectionPlan};
+use napel_core::fault::CampaignOptions;
 use napel_telemetry::Telemetry;
 use napel_workloads::{Scale, Workload};
 
@@ -25,6 +26,7 @@ fn tiny_plan() -> CollectionPlan {
 fn bench_telemetry_overhead(c: &mut Criterion) {
     let plan = tiny_plan();
     let jobs = plan_jobs(&plan).len() as u64;
+    let opts = CampaignOptions::default();
 
     let mut group = c.benchmark_group("telemetry");
     group.sample_size(10);
@@ -32,13 +34,13 @@ fn bench_telemetry_overhead(c: &mut Criterion) {
 
     napel_telemetry::install(Telemetry::noop());
     group.bench_function("noop", |b| {
-        b.iter(|| black_box(collect_with(&plan, &Serial)))
+        b.iter(|| black_box(collect(&plan, &Serial, &opts).unwrap()))
     });
 
     napel_telemetry::install(Telemetry::enabled());
     group.bench_function("enabled", |b| {
         b.iter(|| {
-            let out = black_box(collect_with(&plan, &Serial));
+            let out = black_box(collect(&plan, &Serial, &opts).unwrap());
             // Drain per iteration so the event buffers don't grow without
             // bound across samples — the steady-state cost is what matters.
             black_box(napel_telemetry::global().drain());
@@ -48,7 +50,7 @@ fn bench_telemetry_overhead(c: &mut Criterion) {
 
     napel_telemetry::install(Telemetry::noop());
     group.bench_function("noop-after-uninstall", |b| {
-        b.iter(|| black_box(collect_with(&plan, &Serial)))
+        b.iter(|| black_box(collect(&plan, &Serial, &opts).unwrap()))
     });
 
     group.finish();

@@ -13,21 +13,21 @@ fn run(opts: &Options) -> Result<(), String> {
 
     napel_telemetry::info!("running sampler ablation ({:?})...", opts.scale);
     let io = opts.model_io();
-    let samplers = ablation::sampler_ablation_io(&apps, opts.scale, opts.seed, &io, &exec)
+    let samplers = ablation::sampler_ablation(&apps, opts.scale, opts.seed, &io, &exec)
         .map_err(|e| format!("sampler ablation failed: {e}"))?;
 
     napel_telemetry::info!("running forest-size sweep...");
-    let set = ablation::collect_with_sampler(&apps, ablation::Sampler::Ccd, opts.scale, opts.seed)
+    let ccd = ablation::Sampler::Ccd;
+    let set = ablation::collect_with_sampler(&apps, ccd, opts.scale, opts.seed, &exec)
         .map_err(|e| format!("CCD collection failed: {e}"))?;
-    let sweep =
-        ablation::forest_size_sweep_io(&set, &[10, 30, 60, 120, 240], opts.seed, &io, &exec)
-            .map_err(|e| format!("forest sweep failed: {e}"))?;
+    let sweep = ablation::forest_size_sweep(&set, &[10, 30, 60, 120, 240], opts.seed, &io, &exec)
+        .map_err(|e| format!("forest sweep failed: {e}"))?;
 
     println!("Ablations: training-point sampler and forest size\n");
     print!("{}", ablation::render(&samplers, &sweep));
 
     napel_telemetry::info!("running feature-screening ablation...");
-    let screening = ablation::screening_ablation_io(&set, &[10, 30, 100], opts.seed, &io, &exec)
+    let screening = ablation::screening_ablation(&set, &[10, 30, 100], opts.seed, &io, &exec)
         .map_err(|e| format!("screening ablation failed: {e}"))?;
     println!("\nFeature screening (top-k by permutation importance):");
     for p in &screening {
@@ -77,14 +77,14 @@ fn run(opts: &Options) -> Result<(), String> {
     }
 
     napel_telemetry::info!("running the ensemble-vs-forest comparison...");
-    let comparison = ablation::ensemble_vs_forest_io(&set, opts.seed, &io, &exec)
+    let comparison = ablation::ensemble_vs_forest(&set, opts.seed, &io, &exec)
         .map_err(|e| format!("ensemble comparison failed: {e}"))?;
     println!("\nweighted ensemble vs plain forest (LOAO):");
     print!("{}", ablation::render_ensemble(&comparison));
 
     napel_telemetry::info!("running the accuracy-vs-budget curve...");
     let budgets = opts.budget_list(&[5, 7, 9]);
-    let curve = ablation::budget_curve_io(&apps, opts.scale, &budgets, opts.seed, &io, &exec)
+    let curve = ablation::budget_curve(&apps, opts.scale, &budgets, opts.seed, &io, &exec)
         .map_err(|e| format!("budget curve failed: {e}"))?;
     println!("\naccuracy vs simulation budget (plain CCD prefix vs active sampling):");
     print!("{}", ablation::render_budget_curve(&curve));

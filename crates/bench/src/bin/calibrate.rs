@@ -3,7 +3,6 @@
 use napel_bench::Options;
 use napel_hostmodel::HostModel;
 use napel_pisa::ApplicationProfile;
-use napel_workloads::Workload;
 use nmc_sim::{ArchConfig, NmcSystem};
 
 fn main() {
@@ -14,7 +13,7 @@ fn main() {
         "{:<6} {:>9} {:>11} {:>11} {:>11} {:>11} {:>9} {:>8} {:>8}",
         "app", "insts", "host_t", "nmc_t", "host_E", "nmc_E", "EDPred", "hostCPI", "nmcIPC"
     );
-    for w in Workload::ALL {
+    for w in opts.workloads() {
         let trace = w.generate_test(opts.scale);
         let profile = ApplicationProfile::of(&trace);
         let h = host.evaluate(&profile);

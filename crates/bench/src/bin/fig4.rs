@@ -1,18 +1,14 @@
 //! Regenerates Figure 4 (NAPEL prediction speedup over simulation for a
 //! design-space sweep of architecture configurations).
 
-use napel_bench::{announce_report, exit_with_error, Options};
-use napel_core::experiments::{fig4, Context};
+use napel_bench::{exit_with_error, Options};
+use napel_core::experiments::fig4;
 
 fn run(opts: &Options) -> Result<(), String> {
     let exec = opts.executor();
-    napel_telemetry::info!("collecting training data ({:?})...", opts.scale);
-    let (ctx, report) =
-        Context::build_supervised(opts.scale, opts.seed, &exec, &opts.campaign_options())
-            .map_err(|e| format!("collection campaign failed: {e}"))?;
-    announce_report(&report);
+    let ctx = opts.context(&exec)?;
     napel_telemetry::info!("timing {} configurations per application...", opts.configs);
-    let rows = fig4::run_with_io(
+    let rows = fig4::run(
         &ctx,
         &opts.napel_config(),
         opts.configs,

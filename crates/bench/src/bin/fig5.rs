@@ -1,19 +1,15 @@
 //! Regenerates Figure 5 (leave-one-application-out MRE of NAPEL vs an ANN
 //! vs a linear decision tree, for performance and energy).
 
-use napel_bench::{announce_report, exit_with_error, Options};
-use napel_core::experiments::{fig5, Context};
+use napel_bench::{exit_with_error, Options};
+use napel_core::experiments::fig5;
 
 fn run(opts: &Options) -> Result<(), String> {
     let exec = opts.executor();
-    napel_telemetry::info!("collecting training data ({:?})...", opts.scale);
-    let (ctx, report) =
-        Context::build_supervised(opts.scale, opts.seed, &exec, &opts.campaign_options())
-            .map_err(|e| format!("collection campaign failed: {e}"))?;
-    announce_report(&report);
+    let ctx = opts.context(&exec)?;
     napel_telemetry::info!("running leave-one-application-out comparisons...");
-    let result = fig5::run_with_io(&ctx, &opts.model_io(), &exec)
-        .map_err(|e| format!("fig 5 run failed: {e}"))?;
+    let result =
+        fig5::run(&ctx, &opts.model_io(), &exec).map_err(|e| format!("fig 5 run failed: {e}"))?;
     println!("Figure 5: mean relative error, performance (a) and energy (b)\n");
     print!("{}", fig5::render(&result));
     Ok(())

@@ -1,18 +1,14 @@
 //! Regenerates Figure 7 (estimated EDP reduction of NMC offloading vs the
 //! host; NAPEL prediction next to the simulator's "Actual").
 
-use napel_bench::{announce_report, exit_with_error, Options};
-use napel_core::experiments::{fig7, Context};
+use napel_bench::{exit_with_error, Options};
+use napel_core::experiments::fig7;
 
 fn run(opts: &Options) -> Result<(), String> {
     let exec = opts.executor();
-    napel_telemetry::info!("collecting training data ({:?})...", opts.scale);
-    let (ctx, report) =
-        Context::build_supervised(opts.scale, opts.seed, &exec, &opts.campaign_options())
-            .map_err(|e| format!("collection campaign failed: {e}"))?;
-    announce_report(&report);
+    let ctx = opts.context(&exec)?;
     napel_telemetry::info!("running the NMC-suitability analysis...");
-    let result = fig7::run_with_io(&ctx, &opts.napel_config(), &opts.model_io(), &exec)
+    let result = fig7::run(&ctx, &opts.napel_config(), &opts.model_io(), &exec)
         .map_err(|e| format!("fig 7 run failed: {e}"))?;
     println!("Figure 7: EDP reduction of NMC offloading vs host execution\n");
     print!("{}", fig7::render(&result));

@@ -6,7 +6,7 @@
 //! relationships to be identified" — this binary shows which of them the
 //! forest actually leans on.
 
-use napel_bench::{exit_with_error, Options};
+use napel_bench::{announce_report, exit_with_error, Options};
 use napel_core::collect::{collect, CollectionPlan};
 use napel_ml::log_space::LogOf;
 use napel_ml::Estimator;
@@ -15,10 +15,14 @@ use rand::SeedableRng;
 
 fn run(opts: &Options) -> Result<(), String> {
     napel_telemetry::info!("collecting training data ({:?})...", opts.scale);
-    let set = collect(&CollectionPlan {
+    let plan = CollectionPlan {
+        workloads: opts.workloads(),
         scale: opts.scale,
         ..Default::default()
-    });
+    };
+    let (set, report) = collect(&plan, &opts.executor(), &opts.campaign_options())
+        .map_err(|e| format!("collection campaign failed: {e}"))?;
+    announce_report(&report);
     let data = set
         .ipc_dataset()
         .map_err(|e| format!("training set is not a dataset: {e}"))?;

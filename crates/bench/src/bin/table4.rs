@@ -2,18 +2,14 @@
 //! times). Times are seconds on this substrate; the paper reports minutes
 //! on a server — see EXPERIMENTS.md for the side-by-side.
 
-use napel_bench::{announce_report, exit_with_error, Options};
-use napel_core::experiments::{table4, Context};
+use napel_bench::{exit_with_error, Options};
+use napel_core::experiments::table4;
 
 fn run(opts: &Options) -> Result<(), String> {
     let exec = opts.executor();
-    napel_telemetry::info!("collecting training data ({:?})...", opts.scale);
-    let (ctx, report) =
-        Context::build_supervised(opts.scale, opts.seed, &exec, &opts.campaign_options())
-            .map_err(|e| format!("collection campaign failed: {e}"))?;
-    announce_report(&report);
+    let ctx = opts.context(&exec)?;
     napel_telemetry::info!("running per-application timings...");
-    let rows = table4::run_with_io(&ctx, &opts.napel_config(), &opts.model_io(), &exec)
+    let rows = table4::run(&ctx, &opts.napel_config(), &opts.model_io(), &exec)
         .map_err(|e| format!("table 4 run failed: {e}"))?;
     println!("Table 4: DoE configurations and training/prediction time\n");
     print!("{}", table4::render(&rows));

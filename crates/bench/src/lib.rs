@@ -1,5 +1,12 @@
 //! Harness support for the table/figure regenerator binaries.
 //!
+//! [`Options`] is where the campaign and artifact settings come from: a
+//! driver turns its flags (falling back to the `NAPEL_*` environment
+//! variables) into the workload subset, executor, campaign options and
+//! artifact policy, and passes those same values to every experiment it
+//! runs — the `napel-core` entry points take them as arguments and never
+//! read the environment.
+//!
 //! Every binary accepts the same flags:
 //!
 //! - `--scale laptop|tiny|unit` — workload input scale (default `laptop`),
@@ -14,7 +21,6 @@
 //!   environment variable, falling back to no journal),
 //! - `--fail-policy fast|quarantine` — stop at the first failed campaign
 //!   job (default) or complete the campaign and itemize failures,
-//! - `--retries N` — re-run a panicked campaign job up to `N` extra times,
 //! - `--telemetry-out PATH` — enable telemetry, write the JSONL event
 //!   stream to `PATH` at exit, and print a phase-time summary on stderr
 //!   (default: the `NAPEL_TELEMETRY` environment variable, falling back
@@ -28,7 +34,8 @@
 //!   training (the train-once/predict-many path; takes precedence over
 //!   `--model-out`),
 //! - `--apps LIST` — comma-separated workload subset (default: all 12
-//!   applications) — e.g. `--apps atax,gemv,mvt,syrk` for a smoke run,
+//!   applications) — e.g. `--apps atax,gemv,mvt,syrk` for a smoke run;
+//!   every driver collects, trains and reports on exactly this subset,
 //! - `--budgets LIST` — comma-separated points-per-application budgets for
 //!   the `ablation` accuracy-vs-budget curve (default `5,7,9`),
 //! - `--input PATH` — for `predict`: file of raw feature rows to score,
@@ -48,6 +55,8 @@ pub mod obs;
 
 use napel_core::artifact::ModelIo;
 use napel_core::campaign::AnyExecutor;
+use napel_core::collect::evaluation_plan;
+use napel_core::experiments::Context;
 use napel_core::fault::{CampaignOptions, CampaignReport, FaultPolicy};
 use napel_core::model::NapelConfig;
 use napel_workloads::{Scale, Workload};
@@ -71,9 +80,6 @@ pub struct Options {
     /// Campaign fault policy (`--fail-policy`); `None` defers to
     /// `NAPEL_FAIL_POLICY`.
     pub fail_policy: Option<FaultPolicy>,
-    /// Per-job retry budget (`--retries`); `None` defers to
-    /// `NAPEL_RETRIES`.
-    pub retries: Option<u32>,
     /// Telemetry JSONL output path (`--telemetry-out`); `None` defers to
     /// `NAPEL_TELEMETRY`.
     pub telemetry_out: Option<String>,
@@ -108,7 +114,6 @@ impl Default for Options {
             jobs: None,
             checkpoint: None,
             fail_policy: None,
-            retries: None,
             telemetry_out: None,
             quiet: false,
             model_out: None,
@@ -151,7 +156,6 @@ impl Options {
                     let spec = value("a value (fast|quarantine)")?;
                     opts.fail_policy = Some(FaultPolicy::parse_spec(&spec)?);
                 }
-                "--retries" => opts.retries = Some(integer(&arg, &value("a value")?)?),
                 "--telemetry-out" => opts.telemetry_out = Some(value("a path")?),
                 "--quiet" => opts.quiet = true,
                 "--model-out" => opts.model_out = Some(value("a directory")?),
@@ -207,8 +211,8 @@ impl Options {
     }
 
     /// The supervised-campaign options implied by the flags: starts from
-    /// the environment (`NAPEL_CHECKPOINT`, `NAPEL_FAIL_POLICY`,
-    /// `NAPEL_RETRIES`), then lets explicit flags win.
+    /// the environment (`NAPEL_CHECKPOINT`, `NAPEL_FAIL_POLICY`), then
+    /// lets explicit flags win.
     pub fn campaign_options(&self) -> CampaignOptions {
         let mut opts = CampaignOptions::from_env();
         if let Some(path) = &self.checkpoint {
@@ -216,9 +220,6 @@ impl Options {
         }
         if let Some(policy) = self.fail_policy {
             opts.policy = policy;
-        }
-        if let Some(retries) = self.retries {
-            opts.retries = retries;
         }
         opts
     }
@@ -288,6 +289,23 @@ impl Options {
     /// The workload subset implied by `--apps` (all 12 when absent).
     pub fn workloads(&self) -> Vec<Workload> {
         self.apps.clone().unwrap_or_else(|| Workload::ALL.to_vec())
+    }
+
+    /// Collects the evaluation context the options describe — the
+    /// `--apps` subset on [`evaluation_plan`] at `--scale`, seeded by
+    /// `--seed` — on `exec` under [`Self::campaign_options`], and
+    /// announces the campaign report on stderr.
+    ///
+    /// # Errors
+    ///
+    /// A one-line message for a failed campaign.
+    pub fn context(&self, exec: &AnyExecutor) -> Result<Context, String> {
+        napel_telemetry::info!("collecting training data ({:?})...", self.scale);
+        let plan = evaluation_plan(self.workloads(), self.scale);
+        let (ctx, report) = Context::build(&plan, self.seed, exec, &self.campaign_options())
+            .map_err(|e| format!("collection campaign failed: {e}"))?;
+        announce_report(&report);
+        Ok(ctx)
     }
 
     /// The accuracy-vs-budget budgets implied by `--budgets`, falling back
@@ -412,8 +430,6 @@ mod tests {
             "/tmp/journal.ckpt",
             "--fail-policy",
             "quarantine",
-            "--retries",
-            "2",
         ]);
         let opts = o.campaign_options();
         assert_eq!(
@@ -421,7 +437,6 @@ mod tests {
             Some(std::path::Path::new("/tmp/journal.ckpt"))
         );
         assert_eq!(opts.policy, FaultPolicy::Quarantine);
-        assert_eq!(opts.retries, 2);
     }
 
     #[test]

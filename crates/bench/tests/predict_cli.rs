@@ -1,13 +1,17 @@
 //! End-to-end tests for the binaries' error contract: every operational
 //! failure exits with status 1 and one `<bin>: ...` line on stderr — no
 //! panics, no backtraces — and `predict`'s happy path still prints a
-//! prediction table.
+//! prediction table. One more pins the drivers' flag wiring: `all
+//! --apps --model-out` trains and saves exactly the requested
+//! applications.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
 use std::sync::OnceLock;
 
+use napel_core::campaign::AnyExecutor;
 use napel_core::collect::{collect, CollectionPlan};
+use napel_core::fault::CampaignOptions;
 use napel_core::model::{Napel, NapelConfig};
 use napel_workloads::{Scale, Workload};
 
@@ -23,11 +27,13 @@ fn scratch_dir(name: &str) -> PathBuf {
 fn bundle() -> &'static (PathBuf, usize) {
     static BUNDLE: OnceLock<(PathBuf, usize)> = OnceLock::new();
     BUNDLE.get_or_init(|| {
-        let set = collect(&CollectionPlan {
+        let plan = CollectionPlan {
             workloads: vec![Workload::Atax, Workload::Gemv],
             scale: Scale::tiny(),
             ..Default::default()
-        });
+        };
+        let (set, _) = collect(&plan, &AnyExecutor::from_env(), &CampaignOptions::default())
+            .expect("clean campaign");
         let trained = Napel::new(NapelConfig::untuned())
             .train(&set)
             .expect("train");
@@ -140,6 +146,52 @@ fn missing_model_in_fails_before_collection_in_every_driver() {
         );
         assert!(output.stdout.is_empty(), "{bin} printed before failing");
     }
+}
+
+#[test]
+fn all_trains_and_saves_exactly_the_requested_applications() {
+    // `all` passes the workload subset and the artifact policy on to every
+    // experiment it runs: each training experiment saves one bundle per
+    // requested application, and no other application is collected.
+    let dir = scratch_dir("all");
+    let output = Command::new(env!("CARGO_BIN_EXE_all"))
+        .args(["--quick", "--quiet", "--scale", "tiny", "--configs", "4"])
+        .args(["--apps", "gemv,mvt", "--model-out"])
+        .arg(&dir)
+        .output()
+        .expect("spawn all");
+    assert!(output.status.success(), "{output:?}");
+    let mut written: Vec<String> = std::fs::read_dir(&dir)
+        .expect("bundle dir")
+        .map(|entry| {
+            entry
+                .expect("dir entry")
+                .file_name()
+                .to_string_lossy()
+                .into_owned()
+        })
+        .collect();
+    written.sort();
+    let experiments = [
+        "fig4",
+        "table4",
+        "fig7",
+        "fig5-napel",
+        "fig5-ann",
+        "fig5-dtree",
+    ];
+    let mut expected: Vec<String> = experiments
+        .iter()
+        .flat_map(|e| ["gemv", "mvt"].map(|w| format!("{e}-{w}.napel")))
+        .collect();
+    expected.sort();
+    assert_eq!(written, expected);
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    assert!(
+        stdout.contains("suitability agreement") && stdout.contains("/2;"),
+        "Figure 7 covers the two applications:\n{stdout}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

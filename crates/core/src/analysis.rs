@@ -14,7 +14,7 @@ use nmc_sim::{ArchConfig, NmcSystem};
 use napel_hostmodel::HostModel;
 
 use crate::artifact::{self, ModelArtifact, ModelIo, Provenance, TargetKind};
-use crate::campaign::{catch_job_panic, AnyExecutor, Executor};
+use crate::campaign::{catch_job_panic, Executor};
 use crate::fault::{JobFailure, JobFailureKind};
 use crate::features::TrainingSet;
 use crate::model::{Napel, NapelConfig};
@@ -29,7 +29,6 @@ fn fold_panic(index: usize, held_out: Workload, stage: &str, message: String) ->
         workload: held_out.name().to_string(),
         params: Vec::new(),
         arch: stage.to_string(),
-        attempts: 1,
         kind: JobFailureKind::Panic(message),
     })
 }
@@ -43,49 +42,6 @@ pub struct LoaoResult {
     pub perf_mre: f64,
     /// MRE of energy predictions on the held-out application.
     pub energy_mre: f64,
-}
-
-/// Leave-one-application-out evaluation of an arbitrary estimator — the
-/// protocol of Section 3.3: "every time we test for a particular
-/// application, we do not include it in the training set".
-///
-/// # Errors
-///
-/// Returns [`NapelError`] if the set holds fewer than two applications or
-/// an estimator fails to fit.
-pub fn loao_accuracy<E>(
-    estimator: &E,
-    set: &TrainingSet,
-    seed: u64,
-) -> Result<Vec<LoaoResult>, NapelError>
-where
-    E: Estimator + Sync,
-    E::Model: Predictor + Send + Sync + 'static,
-{
-    loao_accuracy_with(estimator, set, seed, &AnyExecutor::from_env())
-}
-
-/// [`loao_accuracy`] with an explicit executor: the folds — one per
-/// application — form one job batch, each fold re-seeding its own RNG
-/// from `seed`, so results are identical for any executor and worker
-/// count.
-///
-/// # Errors
-///
-/// Returns [`NapelError`] if the set holds fewer than two applications or
-/// an estimator fails to fit.
-pub fn loao_accuracy_with<E, X>(
-    estimator: &E,
-    set: &TrainingSet,
-    seed: u64,
-    exec: &X,
-) -> Result<Vec<LoaoResult>, NapelError>
-where
-    E: Estimator + Sync,
-    E::Model: Predictor + Send + Sync + 'static,
-    X: Executor,
-{
-    loao_accuracy_io(estimator, set, seed, &ModelIo::none(), "loao", exec)
 }
 
 /// A fold's pair of decoded predictors: IPC first, energy second.
@@ -156,17 +112,25 @@ fn save_fold_models(
     Ok(())
 }
 
-/// [`loao_accuracy_with`] threaded through an artifact policy: with a save
-/// directory, each fold's fitted models are persisted as
+/// Leave-one-application-out evaluation of an arbitrary estimator — the
+/// protocol of Section 3.3: "every time we test for a particular
+/// application, we do not include it in the training set".
+///
+/// The folds — one per application — form one job batch on `exec`, each
+/// fold re-seeding its own RNG from `seed`, so results are identical for
+/// any executor and worker count. With a save directory in `io`, each
+/// fold's fitted models are persisted as
 /// `<dir>/<key_prefix>-<workload>.napel`; with a load directory, folds
 /// skip training entirely and evaluate the stored models (which reproduce
-/// the direct path's MREs bit for bit, same seed).
+/// the direct path's MREs bit for bit, same seed). [`ModelIo::none`]
+/// neither saves nor loads.
 ///
 /// # Errors
 ///
-/// As [`loao_accuracy_with`], plus [`NapelError::Artifact`] for
-/// save/load failures or schema mismatches.
-pub fn loao_accuracy_io<E, X>(
+/// Returns [`NapelError`] if the set holds fewer than two applications or
+/// an estimator fails to fit, and [`NapelError::Artifact`] for save/load
+/// failures or schema mismatches.
+pub fn loao_accuracy<E, X>(
     estimator: &E,
     set: &TrainingSet,
     seed: u64,
@@ -299,55 +263,19 @@ impl SuitabilityRow {
 /// without the workload, predict its *test*-input EDP on `arch`, compare
 /// against simulation and the host model.
 ///
-/// # Errors
-///
-/// Propagates training failures.
-pub fn nmc_suitability(
-    set: &TrainingSet,
-    config: &NapelConfig,
-    arch: &ArchConfig,
-    scale: Scale,
-) -> Result<Vec<SuitabilityRow>, NapelError> {
-    nmc_suitability_with(set, config, arch, scale, &AnyExecutor::from_env())
-}
-
-/// [`nmc_suitability`] with an explicit executor: one job per held-out
-/// application (train-without, predict, simulate, host-model), results in
-/// workload order for any executor.
+/// One job per held-out application (train-without, predict, simulate,
+/// host-model) runs on `exec`, results in workload order for any
+/// executor. Each held-out application's trained NAPEL instance is saved
+/// as (or loaded from) `<dir>/<key_prefix>-<workload>.napel` per `io`.
+/// With a load directory the training step is skipped and the predicted
+/// columns reproduce the direct path bit for bit (host/simulator columns
+/// are recomputed either way).
 ///
 /// # Errors
 ///
-/// Propagates training failures.
-pub fn nmc_suitability_with<X: Executor>(
-    set: &TrainingSet,
-    config: &NapelConfig,
-    arch: &ArchConfig,
-    scale: Scale,
-    exec: &X,
-) -> Result<Vec<SuitabilityRow>, NapelError> {
-    nmc_suitability_io(
-        set,
-        config,
-        arch,
-        scale,
-        &ModelIo::none(),
-        "suitability",
-        exec,
-    )
-}
-
-/// [`nmc_suitability_with`] threaded through an artifact policy: each
-/// held-out application's trained NAPEL instance is saved as (or loaded
-/// from) `<dir>/<key_prefix>-<workload>.napel`. With a load directory the
-/// training step is skipped and the predicted columns reproduce the
-/// direct path bit for bit (host/simulator columns are recomputed either
-/// way).
-///
-/// # Errors
-///
-/// As [`nmc_suitability_with`], plus [`NapelError::Artifact`] for
-/// save/load failures or schema mismatches.
-pub fn nmc_suitability_io<X: Executor>(
+/// Propagates training failures; [`NapelError::Artifact`] for save/load
+/// failures or schema mismatches.
+pub fn nmc_suitability<X: Executor>(
     set: &TrainingSet,
     config: &NapelConfig,
     arch: &ArchConfig,
@@ -391,21 +319,31 @@ pub fn nmc_suitability_io<X: Executor>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::{AnyExecutor, Serial, Threaded};
     use crate::collect::{collect, CollectionPlan};
+    use crate::fault::CampaignOptions;
     use napel_ml::forest::RandomForestParams;
 
     fn small_set() -> TrainingSet {
-        collect(&CollectionPlan {
+        let plan = CollectionPlan {
             workloads: vec![Workload::Atax, Workload::Gemv, Workload::Mvt],
             scale: Scale::tiny(),
             ..Default::default()
-        })
+        };
+        collect(&plan, &AnyExecutor::from_env(), &CampaignOptions::default())
+            .expect("clean campaign")
+            .0
+    }
+
+    fn loao(set: &TrainingSet, exec: &impl Executor) -> Result<Vec<LoaoResult>, NapelError> {
+        let est = RandomForestParams::default();
+        loao_accuracy(&est, set, 7, &ModelIo::none(), "loao", exec)
     }
 
     #[test]
     fn loao_covers_every_workload_once() {
         let set = small_set();
-        let results = loao_accuracy(&RandomForestParams::default(), &set, 7).unwrap();
+        let results = loao(&set, &AnyExecutor::from_env()).unwrap();
         assert_eq!(results.len(), 3);
         let names: Vec<&str> = results.iter().map(|r| r.workload.name()).collect();
         assert_eq!(names, vec!["atax", "gemv", "mvt"]);
@@ -417,11 +355,9 @@ mod tests {
 
     #[test]
     fn loao_folds_are_executor_independent() {
-        use crate::campaign::{Serial, Threaded};
         let set = small_set();
-        let est = RandomForestParams::default();
-        let serial = loao_accuracy_with(&est, &set, 7, &Serial).unwrap();
-        let threaded = loao_accuracy_with(&est, &set, 7, &Threaded::new(3)).unwrap();
+        let serial = loao(&set, &Serial).unwrap();
+        let threaded = loao(&set, &Threaded::new(3)).unwrap();
         assert_eq!(
             serial, threaded,
             "folds re-seed per fold; executor must not matter"
@@ -431,7 +367,7 @@ mod tests {
     #[test]
     fn loao_needs_two_apps() {
         let set = small_set().filtered(|w| w == Workload::Atax);
-        let err = loao_accuracy(&RandomForestParams::default(), &set, 7).unwrap_err();
+        let err = loao(&set, &AnyExecutor::from_env()).unwrap_err();
         assert!(matches!(err, NapelError::BadTrainingSet { .. }));
     }
 
@@ -456,19 +392,18 @@ mod tests {
 
     #[test]
     fn loao_artifact_path_reproduces_direct_path_exactly() {
-        use crate::campaign::Serial;
         let set = small_set();
         let est = RandomForestParams::default();
-        let direct = loao_accuracy_with(&est, &set, 7, &Serial).unwrap();
+        let direct = loao(&set, &Serial).unwrap();
 
         let dir = std::env::temp_dir().join("napel-loao-io-test");
         std::fs::remove_dir_all(&dir).ok();
         let save = ModelIo::new(Some(dir.clone()), None);
-        let saved = loao_accuracy_io(&est, &set, 7, &save, "loao", &Serial).unwrap();
+        let saved = loao_accuracy(&est, &set, 7, &save, "loao", &Serial).unwrap();
         assert_eq!(direct, saved, "saving must not perturb the evaluation");
 
         let load = ModelIo::new(None, Some(dir.clone()));
-        let loaded = loao_accuracy_io(&est, &set, 7, &load, "loao", &Serial).unwrap();
+        let loaded = loao_accuracy(&est, &set, 7, &load, "loao", &Serial).unwrap();
         assert_eq!(
             direct, loaded,
             "loaded artifacts must reproduce MREs bit for bit"
@@ -478,23 +413,23 @@ mod tests {
 
     #[test]
     fn suitability_from_artifacts_matches_direct() {
-        use crate::campaign::Serial;
         let set = small_set();
         let config = NapelConfig::untuned();
         let arch = ArchConfig::paper_default();
-        let direct = nmc_suitability_with(&set, &config, &arch, Scale::tiny(), &Serial).unwrap();
+        let none = ModelIo::none();
+        let direct =
+            nmc_suitability(&set, &config, &arch, Scale::tiny(), &none, "fig7", &Serial).unwrap();
 
         let dir = std::env::temp_dir().join("napel-suit-io-test");
         std::fs::remove_dir_all(&dir).ok();
         let save = ModelIo::new(Some(dir.clone()), None);
-        let saved = nmc_suitability_io(&set, &config, &arch, Scale::tiny(), &save, "fig7", &Serial)
-            .unwrap();
+        let saved =
+            nmc_suitability(&set, &config, &arch, Scale::tiny(), &save, "fig7", &Serial).unwrap();
         assert_eq!(direct, saved);
 
         let load = ModelIo::new(None, Some(dir.clone()));
         let loaded =
-            nmc_suitability_io(&set, &config, &arch, Scale::tiny(), &load, "fig7", &Serial)
-                .unwrap();
+            nmc_suitability(&set, &config, &arch, Scale::tiny(), &load, "fig7", &Serial).unwrap();
         assert_eq!(
             direct, loaded,
             "every column, including predictions, matches"
@@ -510,6 +445,9 @@ mod tests {
             &NapelConfig::untuned(),
             &ArchConfig::paper_default(),
             Scale::tiny(),
+            &ModelIo::none(),
+            "suitability",
+            &AnyExecutor::from_env(),
         )
         .unwrap();
         assert_eq!(rows.len(), 3);

@@ -25,13 +25,13 @@
 //!   [`retarget`](NmcSystem::retarget) its report, bit for bit what their
 //!   own simulation would have produced. A point's compact encoded trace
 //!   is dropped as soon as each of its timing classes has a report.
-//! - [`AnyExecutor::from_env`] selects the executor from the `NAPEL_JOBS`
-//!   environment variable, so every driver binary and library entry point
-//!   gains a uniform parallelism knob.
+//! - [`AnyExecutor`] is an executor chosen at run time. Every library
+//!   entry point takes its executor as an argument; only the driver
+//!   binaries read the `NAPEL_JOBS` environment variable
+//!   ([`AnyExecutor::from_env`]).
 //! - [`run_supervised`] is the fault-tolerant runtime on top: each job
 //!   runs inside `catch_unwind`, its labels pass a validation gate before
-//!   entering the training set, failures are retried (bounded,
-//!   deterministic), and — per the configured
+//!   entering the training set, and failures — per the configured
 //!   [`FaultPolicy`](crate::fault::FaultPolicy) — either cancel the batch
 //!   with full provenance (fail-fast) or are quarantined while the rest
 //!   of the campaign completes. With a checkpoint journal attached
@@ -65,8 +65,8 @@ use nmc_sim::{ArchConfig, NmcSystem, SimEngine, SimReport, TimingClass};
 use crate::checkpoint::CheckpointJournal;
 use crate::collect::{doe_points, CollectionPlan};
 use crate::fault::{
-    Backoff, CampaignOptions, CampaignReport, FaultInjector, FaultPolicy, JobFailure,
-    JobFailureKind, JobOutcome, JobStatus,
+    CampaignOptions, CampaignReport, FaultInjector, FaultPolicy, JobFailure, JobFailureKind,
+    JobOutcome, JobStatus,
 };
 use crate::features::{CollectStats, LabeledRun};
 use crate::NapelError;
@@ -151,13 +151,12 @@ impl SimJob {
     }
 
     /// The provenance-carrying failure record for this job.
-    fn failure(&self, attempts: u32, kind: JobFailureKind) -> JobFailure {
+    fn failure(&self, kind: JobFailureKind) -> JobFailure {
         JobFailure {
             index: self.index,
             workload: self.workload.name().to_string(),
             params: self.coords.clone(),
             arch: format!("{:?}", self.arch),
-            attempts,
             kind,
         }
     }
@@ -337,7 +336,8 @@ impl AnyExecutor {
     /// - `N` → [`Threaded`] with `N` workers.
     ///
     /// Unparsable values warn once on stderr and fall back to serial
-    /// rather than aborting a long campaign over a typo.
+    /// rather than aborting a long campaign over a typo. The library
+    /// itself never calls this: its entry points take an executor.
     pub fn from_env() -> Self {
         match std::env::var("NAPEL_JOBS") {
             Ok(spec) => Self::from_spec(&spec),
@@ -489,7 +489,7 @@ impl ProfiledPoint {
 
 /// The simulation all jobs of one timing class at one point share. The
 /// cell stays empty until a job of the class simulates, and again after
-/// a panicking simulation, so a retry simulates afresh.
+/// a panicking simulation, so the next job of the class simulates afresh.
 #[derive(Debug)]
 struct SharedRun {
     class: TimingClass,
@@ -694,23 +694,8 @@ pub fn plan_jobs(plan: &CollectionPlan) -> Vec<SimJob> {
     jobs
 }
 
-/// Runs a job batch on `exec`, returning labeled rows in job-index order
-/// plus campaign timing.
-///
-/// Thin fail-fast wrapper over [`run_supervised`] with default
-/// [`CampaignOptions`]: a job failure (panic or invalid label) re-raises
-/// in the caller as a panic carrying the job's provenance. Use
-/// [`run_supervised`] directly for quarantine semantics, retries, or
-/// checkpointing.
-pub fn run_jobs<E: Executor>(exec: &E, jobs: &[SimJob]) -> (Vec<LabeledRun>, CollectStats) {
-    let (rows, report) = run_supervised(exec, jobs, &CampaignOptions::default())
-        .unwrap_or_else(|e| panic!("campaign failed: {e}"));
-    (rows, report.stats)
-}
-
 /// Runs a job batch under supervision: every job executes inside
-/// `catch_unwind`, panicking jobs get `opts.retries` deterministic extra
-/// attempts, completed rows must pass the label-validation gate
+/// `catch_unwind`, completed rows must pass the label-validation gate
 /// ([`LabeledRun::validate`]) before they are returned, and a checkpoint
 /// journal — when configured — persists rows as they complete and
 /// restores them on the next run.
@@ -762,7 +747,7 @@ pub fn run_supervised<E: Executor>(
                 rows.push(row.expect("restored job has a row"));
             }
             JobStatus::Failed(kind) => {
-                quarantined.push(jobs[outcome.index].failure(outcome.attempts, kind.clone()));
+                quarantined.push(jobs[outcome.index].failure(kind.clone()));
             }
             JobStatus::Skipped => {}
         }
@@ -788,16 +773,15 @@ pub fn run_supervised<E: Executor>(
     ))
 }
 
-/// Supervises one job: checkpoint restore, bounded retries around the
-/// panic-catching execution, label validation, journaling, and fail-fast
-/// cancellation.
+/// Supervises one job: checkpoint restore, the panic-catching execution,
+/// label validation, journaling, and fail-fast cancellation.
 ///
 /// Telemetry: the whole job runs in its own lane (`JOB_LANE_BASE +
 /// index`) under a `campaign.job` span carrying the job's provenance
 /// (workload, index, architecture) and final status, and bumps the
 /// `campaign.jobs.*` counters. Both are deterministic: each job's lane
-/// is private to it, and whether a job completes, restores, retries, or
-/// fails is a pure function of the job (see the module docs).
+/// is private to it, and whether a job completes, restores, or fails is
+/// a pure function of the job (see the module docs).
 fn run_one(
     job: &SimJob,
     cache: &ProfileCache,
@@ -812,84 +796,60 @@ fn run_one(
         .attr("workload", job.workload.name())
         .attr("index", job.index)
         .attr("arch", format_args!("{:?}", job.arch));
-    let outcome = |status, attempts, seconds| JobOutcome {
+    let outcome = |status, seconds| JobOutcome {
         index: job.index,
         status,
-        attempts,
         seconds,
     };
     if cancel.load(Ordering::Acquire) {
         napel_telemetry::counter!("campaign.jobs.skipped", 1);
         let _span = span.attr("status", "skipped");
-        return (outcome(JobStatus::Skipped, 0, 0.0), None, 0.0);
+        return (outcome(JobStatus::Skipped, 0.0), None, 0.0);
     }
     let hash = job.descriptor_hash();
     if let Some(journal) = journal {
         if let Some(run) = journal.restored(hash) {
             napel_telemetry::counter!("campaign.jobs.restored", 1);
             let _span = span.attr("status", "restored");
-            return (outcome(JobStatus::Restored, 0, 0.0), Some(run.clone()), 0.0);
+            return (outcome(JobStatus::Restored, 0.0), Some(run.clone()), 0.0);
         }
     }
     let start = Instant::now();
-    let mut attempts = 0u32;
-    loop {
-        let attempt = attempts;
-        attempts += 1;
-        let result = catch_job_panic(|| execute_job(job, cache, opts.injector.as_ref(), attempt));
-        let kind = match result {
-            Ok(Ok((run, simulate_seconds))) => {
-                if let Some(journal) = journal {
-                    journal.record(hash, &run);
-                }
-                napel_telemetry::counter!("campaign.jobs.completed", 1);
-                let _span = span.attr("status", "completed");
-                let seconds = start.elapsed().as_secs_f64();
-                return (
-                    outcome(JobStatus::Completed, attempts, seconds),
-                    Some(run),
-                    simulate_seconds,
-                );
+    let kind = match catch_job_panic(|| execute_job(job, cache, opts.injector.as_ref())) {
+        Ok(Ok((run, simulate_seconds))) => {
+            if let Some(journal) = journal {
+                journal.record(hash, &run);
             }
-            // Invalid labels and schema mismatches are deterministic —
-            // retrying replays the same result, so fail immediately.
-            Ok(Err(kind)) => kind,
-            Err(panic_message) => {
-                if attempts <= opts.retries {
-                    napel_telemetry::counter!("campaign.jobs.retried", 1);
-                    // Back off before the retry: the faults retries are
-                    // for (transient resource exhaustion) need breathing
-                    // room, and the schedule is deterministic in the
-                    // attempt number so the campaign stays replayable.
-                    std::thread::sleep(Backoff::default().delay(attempt));
-                    continue;
-                }
-                JobFailureKind::Panic(panic_message)
-            }
-        };
-        if opts.policy == FaultPolicy::FailFast {
-            cancel.store(true, Ordering::Release);
+            napel_telemetry::counter!("campaign.jobs.completed", 1);
+            let _span = span.attr("status", "completed");
+            let seconds = start.elapsed().as_secs_f64();
+            return (
+                outcome(JobStatus::Completed, seconds),
+                Some(run),
+                simulate_seconds,
+            );
         }
-        napel_telemetry::counter!("campaign.jobs.failed", 1);
-        let _span = span.attr("status", "failed").attr("attempts", attempts);
-        let seconds = start.elapsed().as_secs_f64();
-        return (
-            outcome(JobStatus::Failed(kind), attempts, seconds),
-            None,
-            0.0,
-        );
+        Ok(Err(kind)) => kind,
+        Err(panic_message) => JobFailureKind::Panic(panic_message),
+    };
+    if opts.policy == FaultPolicy::FailFast {
+        cancel.store(true, Ordering::Release);
     }
+    napel_telemetry::counter!("campaign.jobs.failed", 1);
+    let _span = span.attr("status", "failed");
+    let seconds = start.elapsed().as_secs_f64();
+    (outcome(JobStatus::Failed(kind), seconds), None, 0.0)
 }
 
-/// One attempt at a job's actual work: kernel analysis (through the
-/// cache), the simulation its timing class shares at the point (run by
-/// whichever job of the class arrives first), the report retargeted to
-/// this job's system, checked feature assembly, fault injection (when
-/// configured), and the label-validation gate. The returned seconds are
-/// the simulation's if this attempt ran it, else zero. The attempt that
-/// completes the point's last class simulation drops the point's trace;
-/// a panicking simulation completes nothing, so the trace stays for the
-/// retry.
+/// A job's actual work: kernel analysis (through the cache), the
+/// simulation its timing class shares at the point (run by whichever job
+/// of the class arrives first), the report retargeted to this job's
+/// system, checked feature assembly, fault injection (when configured),
+/// and the label-validation gate. The returned seconds are the
+/// simulation's if this job ran it, else zero. The job that completes the
+/// point's last class simulation drops the point's trace; a panicking
+/// simulation completes nothing, so the trace stays for the class's next
+/// job.
 ///
 /// Telemetry: every call bumps `campaign.sim_cache.lookups`; the call
 /// that simulates bumps `campaign.sim_cache.misses` and runs in the
@@ -898,10 +858,9 @@ fn execute_job(
     job: &SimJob,
     cache: &ProfileCache,
     injector: Option<&FaultInjector>,
-    attempt: u32,
 ) -> Result<(LabeledRun, f64), JobFailureKind> {
     if let Some(injector) = injector {
-        injector.maybe_panic(job.index, attempt);
+        injector.maybe_panic(job.index);
     }
     let point = cache.profiled(job);
     let system = NmcSystem::new(job.arch.clone());
@@ -999,7 +958,7 @@ pub(crate) fn catch_job_panic<R>(f: impl FnOnce() -> R) -> Result<R, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::collect::{arch_neighborhood, collect_with};
+    use crate::collect::{arch_neighborhood, collect};
 
     #[test]
     fn serial_and_threaded_map_agree_and_preserve_order() {
@@ -1126,21 +1085,21 @@ mod tests {
     }
 
     #[test]
-    fn supervised_clean_run_matches_run_jobs() {
+    fn clean_run_is_the_same_under_either_fault_policy() {
         let plan = CollectionPlan {
             workloads: vec![Workload::Atax],
             arch_configs: arch_neighborhood().into_iter().take(2).collect(),
             scale: Scale::tiny(),
         };
         let jobs = plan_jobs(&plan);
-        let (plain_rows, _) = run_jobs(&Serial, &jobs);
+        let (fail_fast_rows, _) =
+            run_supervised(&Serial, &jobs, &CampaignOptions::default()).unwrap();
         let (rows, report) =
             run_supervised(&Serial, &jobs, &CampaignOptions::quarantine()).unwrap();
-        assert_eq!(rows, plain_rows);
+        assert_eq!(rows, fail_fast_rows);
         assert!(report.is_clean());
         assert_eq!(report.executed(), jobs.len());
         assert_eq!(report.restored, 0);
-        assert!(report.outcomes.iter().all(|o| o.attempts == 1));
     }
 
     #[test]
@@ -1161,34 +1120,6 @@ mod tests {
         assert_eq!(failure.params, jobs[5].coords);
         assert!(failure.arch.contains("num_pes"), "{}", failure.arch);
         assert!(matches!(failure.kind, JobFailureKind::Panic(_)));
-    }
-
-    #[test]
-    fn retries_recover_transient_panics_deterministically() {
-        let plan = CollectionPlan {
-            workloads: vec![Workload::Atax],
-            arch_configs: arch_neighborhood().into_iter().take(1).collect(),
-            scale: Scale::tiny(),
-        };
-        let jobs = plan_jobs(&plan);
-        let clean = run_supervised(&Serial, &jobs, &CampaignOptions::quarantine())
-            .unwrap()
-            .0;
-        let opts = CampaignOptions::quarantine()
-            .with_retries(1)
-            .with_injector(FaultInjector::new().panic_once_at(2));
-        let (rows, report) = run_supervised(&Serial, &jobs, &opts).unwrap();
-        assert_eq!(rows, clean, "a recovered retry must not change output");
-        assert!(report.is_clean());
-        assert_eq!(report.outcomes[2].attempts, 2, "one retry consumed");
-        assert_eq!(report.outcomes[1].attempts, 1);
-
-        // Without the retry budget the same fault quarantines the job.
-        let opts =
-            CampaignOptions::quarantine().with_injector(FaultInjector::new().panic_once_at(2));
-        let (rows, report) = run_supervised(&Serial, &jobs, &opts).unwrap();
-        assert_eq!(report.quarantined_indices(), vec![2]);
-        assert_eq!(rows.len(), jobs.len() - 1);
     }
 
     #[test]
@@ -1273,13 +1204,13 @@ mod tests {
         let held = || point.trace.read().unwrap().is_some();
         for (i, job) in jobs.iter().enumerate() {
             assert!(held(), "job {i}: a class still lacks its report");
-            execute_job(job, &cache, None, 0).expect("clean job");
+            execute_job(job, &cache, None).expect("clean job");
             let pending = point.runs.iter().any(|r| r.report.get().is_none());
             assert_eq!(held(), pending, "after job {i}");
         }
         assert!(!held(), "every class has its report");
         // A job of a finished class retargets its report without the trace.
-        let (_, simulate_seconds) = execute_job(&jobs[2], &cache, None, 0).expect("clean job");
+        let (_, simulate_seconds) = execute_job(&jobs[2], &cache, None).expect("clean job");
         assert_eq!(simulate_seconds, 0.0, "no second simulation");
     }
 
@@ -1293,8 +1224,9 @@ mod tests {
             arch_configs: arch_neighborhood().into_iter().take(3).collect(),
             scale: Scale::tiny(),
         };
-        let serial = collect_with(&plan, &Serial);
-        let threaded = collect_with(&plan, &Threaded::new(3));
+        let opts = CampaignOptions::default();
+        let (serial, _) = collect(&plan, &Serial, &opts).unwrap();
+        let (threaded, _) = collect(&plan, &Threaded::new(3), &opts).unwrap();
         assert_eq!(serial.feature_names, threaded.feature_names);
         assert_eq!(
             serial.runs, threaded.runs,

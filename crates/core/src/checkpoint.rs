@@ -5,8 +5,8 @@
 //! ([`crate::campaign::SimJob::descriptor_hash`]). Restarting the same
 //! campaign with the same journal restores every journaled row without
 //! recomputation and recomputes only the rest — failed or skipped jobs
-//! are never journaled, so a resumed campaign retries exactly the work
-//! that is missing.
+//! are never journaled, so a resumed campaign runs exactly the work that
+//! is missing.
 //!
 //! # Format
 //!

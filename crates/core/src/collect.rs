@@ -11,9 +11,9 @@ use napel_doe::{DesignPoint, ParamDef, ParamSpace};
 use napel_workloads::{Scale, Workload, WorkloadSpec};
 use nmc_sim::ArchConfig;
 
-use crate::campaign::{plan_jobs, run_jobs, run_supervised, AnyExecutor, Executor};
+use crate::campaign::{plan_jobs, run_supervised, Executor};
 use crate::fault::{CampaignOptions, CampaignReport};
-use crate::features::{combined_feature_names, CollectStats, LabeledRun, TrainingSet};
+use crate::features::{combined_feature_names, TrainingSet};
 use crate::NapelError;
 
 /// What to simulate.
@@ -72,52 +72,20 @@ pub fn doe_config_count(spec: &WorkloadSpec) -> usize {
         .len()
 }
 
-/// Runs the campaign of `plan`, returning the labeled training set.
-///
-/// Thin wrapper over [`collect_supervised`] using the executor selected
-/// by the `NAPEL_JOBS` environment variable (serial by default) and the
-/// campaign options from the environment — so `NAPEL_CHECKPOINT=path`
-/// journal-checkpoints (and resumes) any campaign without code changes;
-/// see [`crate::campaign`] and [`crate::fault`].
-///
-/// # Panics
-///
-/// Panics with the failing job's provenance under the (default)
-/// fail-fast policy; use [`collect_supervised`] to handle failures as
-/// values.
-pub fn collect(plan: &CollectionPlan) -> TrainingSet {
-    let (set, _) = collect_supervised(plan, &AnyExecutor::from_env(), &CampaignOptions::from_env())
-        .unwrap_or_else(|e| panic!("campaign failed: {e}"));
-    set
-}
-
-/// Runs the campaign of `plan` on `exec`, returning the labeled training
-/// set. Rows come back in workload-major, DoE-point-major,
-/// architecture-minor order regardless of the executor.
-///
-/// # Panics
-///
-/// Panics with the failing job's provenance on a job failure; use
-/// [`collect_supervised`] to handle failures as values.
-pub fn collect_with<E: Executor>(plan: &CollectionPlan, exec: &E) -> TrainingSet {
-    let (set, _) = collect_supervised(plan, exec, &CampaignOptions::default())
-        .unwrap_or_else(|e| panic!("campaign failed: {e}"));
-    set
-}
-
 /// Runs the campaign of `plan` on `exec` under the supervised,
 /// fault-tolerant runtime: per-job panic isolation, the label-validation
-/// gate, bounded retries, quarantine or fail-fast semantics, and
-/// checkpoint/resume — all per `opts`. Returns the training set (failed
-/// jobs excluded under quarantine) plus the [`CampaignReport`] itemizing
-/// every job outcome.
+/// gate, quarantine or fail-fast semantics, and checkpoint/resume — all
+/// per `opts`. Rows come back in workload-major, DoE-point-major,
+/// architecture-minor order regardless of the executor. Returns the
+/// training set (failed jobs excluded under quarantine) plus the
+/// [`CampaignReport`] itemizing every job outcome.
 ///
 /// # Errors
 ///
 /// [`NapelError::Job`] for a fail-fast job failure (with the job's
 /// provenance) and [`NapelError::Checkpoint`] if the journal cannot be
 /// opened.
-pub fn collect_supervised<E: Executor>(
+pub fn collect<E: Executor>(
     plan: &CollectionPlan,
     exec: &E,
     opts: &CampaignOptions,
@@ -132,26 +100,6 @@ pub fn collect_supervised<E: Executor>(
         },
         report,
     ))
-}
-
-/// Runs the campaign for a single application (used per-app by Table 4),
-/// on the `NAPEL_JOBS`-selected executor.
-pub fn collect_app(w: Workload, plan: &CollectionPlan) -> (Vec<LabeledRun>, CollectStats) {
-    collect_app_with(w, plan, &AnyExecutor::from_env())
-}
-
-/// Runs the campaign for a single application on `exec`.
-pub fn collect_app_with<E: Executor>(
-    w: Workload,
-    plan: &CollectionPlan,
-    exec: &E,
-) -> (Vec<LabeledRun>, CollectStats) {
-    let app_plan = CollectionPlan {
-        workloads: vec![w],
-        ..plan.clone()
-    };
-    let jobs = plan_jobs(&app_plan);
-    run_jobs(exec, &jobs)
 }
 
 /// A small architecture sweep around the Table 3 design, for training the
@@ -185,9 +133,32 @@ pub fn arch_neighborhood() -> Vec<ArchConfig> {
     ]
 }
 
+/// The evaluation's collection plan for `workloads` at `scale`: every DoE
+/// point simulated on the first three architectures of
+/// [`arch_neighborhood`]. Following Section 2.5 ("we run these
+/// DoE-selected application-input configurations on different
+/// architectural configurations"), the sweep teaches the model its
+/// architectural sensitivity and enlarges the training set; three
+/// configurations keep single-core collection time reasonable.
+pub fn evaluation_plan(workloads: Vec<Workload>, scale: Scale) -> CollectionPlan {
+    CollectionPlan {
+        workloads,
+        arch_configs: arch_neighborhood().into_iter().take(3).collect(),
+        scale,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::{AnyExecutor, Serial};
+    use crate::features::LabeledRun;
+
+    fn collect_clean(plan: &CollectionPlan) -> TrainingSet {
+        collect(plan, &AnyExecutor::from_env(), &CampaignOptions::default())
+            .expect("clean campaign")
+            .0
+    }
 
     #[test]
     fn doe_counts_match_table4() {
@@ -224,7 +195,7 @@ mod tests {
             scale: Scale::tiny(),
             ..Default::default()
         };
-        let set = collect(&plan);
+        let set = collect_clean(&plan);
         assert_eq!(set.runs.len(), 9); // deduped CCD x 1 arch
         for r in &set.runs {
             assert_eq!(r.workload, Workload::Atax);
@@ -244,7 +215,7 @@ mod tests {
             arch_configs: archs.clone(),
             scale: Scale::tiny(),
         };
-        let set = collect(&plan);
+        let set = collect_clean(&plan);
         let a = archs.len();
         assert_eq!(set.runs.len(), 9 * a);
         // Rows are DoE-point-major, architecture-minor: runs[k*a + j] is
@@ -290,10 +261,10 @@ mod tests {
             scale: Scale::tiny(),
             ..Default::default()
         };
-        let clean = collect_with(&plan, &crate::campaign::Serial);
+        let (clean, _) = collect(&plan, &Serial, &CampaignOptions::default()).unwrap();
         let opts =
             CampaignOptions::quarantine().with_injector(FaultInjector::new().nan_label_at(4));
-        let (set, report) = collect_supervised(&plan, &crate::campaign::Serial, &opts).unwrap();
+        let (set, report) = collect(&plan, &Serial, &opts).unwrap();
         assert_eq!(report.quarantined_indices(), vec![4]);
         assert_eq!(set.runs.len(), clean.runs.len() - 1);
         let mut expected = clean.runs.clone();

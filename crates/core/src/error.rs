@@ -112,7 +112,6 @@ mod tests {
             workload: "atax".into(),
             params: vec![1800.0, 14.0],
             arch: "ArchConfig { num_pes: 32, .. }".into(),
-            attempts: 2,
             kind: JobFailureKind::Panic("boom".into()),
         };
         let e: NapelError = failure.into();

@@ -29,6 +29,7 @@ use rand::SeedableRng;
 
 use napel_doe::active::active_augment;
 use napel_doe::samplers::{d_optimal, latin_hypercube, random_design};
+use napel_doe::DesignPoint;
 use napel_ml::dataset::Dataset;
 use napel_ml::ensemble::{EnsembleParams, NUM_MEMBERS};
 use napel_ml::forest::RandomForestParams;
@@ -39,10 +40,11 @@ use napel_pisa::ApplicationProfile;
 use napel_workloads::{Scale, Workload};
 use nmc_sim::{ArchConfig, NmcSystem};
 
-use crate::analysis::{average_mre, loao_accuracy_io};
+use crate::analysis::{average_mre, loao_accuracy};
 use crate::artifact::ModelIo;
-use crate::campaign::{AnyExecutor, Executor};
+use crate::campaign::{run_supervised, Executor, SimJob};
 use crate::collect::{doe_points, param_space};
+use crate::fault::CampaignOptions;
 use crate::features::{combined_feature_names, combined_features, LabeledRun, TrainingSet};
 use crate::NapelError;
 
@@ -80,22 +82,24 @@ impl Sampler {
     }
 }
 
-/// Collects a training set using the given sampler at the CCD's budget.
+/// Collects a training set using the given sampler at the CCD's budget,
+/// simulating the drawn points on `exec`.
 ///
 /// # Errors
 ///
 /// Propagates [`napel_doe::DesignError`] from the sampler (as
 /// [`NapelError::Design`]) — e.g. a D-optimal request over a space whose
-/// factorial candidate set is intractable.
-pub fn collect_with_sampler(
+/// factorial candidate set is intractable — and a failed simulation job
+/// (as [`NapelError::Job`]).
+pub fn collect_with_sampler<E: Executor>(
     workloads: &[Workload],
     sampler: Sampler,
     scale: Scale,
     seed: u64,
+    exec: &E,
 ) -> Result<TrainingSet, NapelError> {
-    let arch = ArchConfig::paper_default();
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut runs = Vec::new();
+    let mut designs = Vec::new();
     for &w in workloads {
         let spec = w.spec();
         let space = param_space(&spec);
@@ -106,36 +110,41 @@ pub fn collect_with_sampler(
             Sampler::Random => random_design(&space, ccd.len(), &mut rng),
             Sampler::DOptimal => d_optimal(&space, ccd.len(), &mut rng)?,
         };
-        simulate_points(w, &points, scale, &arch, &mut runs);
+        designs.push((w, points));
     }
     Ok(TrainingSet {
         feature_names: combined_feature_names(),
-        runs,
+        runs: simulate(&designs, scale, exec)?,
         stats: Default::default(),
     })
 }
 
-/// Simulates each design point of one workload and appends the labeled
-/// rows (shared by [`collect_with_sampler`] and the active-learning loop).
-fn simulate_points(
-    w: Workload,
-    points: &[napel_doe::DesignPoint],
+/// Simulates each workload's design points on the Table 3 architecture
+/// as one campaign on `exec` — default, fail-fast options, so every row
+/// has passed the label gate — returning the rows in design order.
+///
+/// # Errors
+///
+/// [`NapelError::Job`] for the first failed job.
+fn simulate<E: Executor>(
+    designs: &[(Workload, Vec<DesignPoint>)],
     scale: Scale,
-    arch: &ArchConfig,
-    runs: &mut Vec<LabeledRun>,
-) {
-    for p in points {
-        let trace = w.generate(p.coords(), scale);
-        let profile = ApplicationProfile::of(&trace);
-        let report = NmcSystem::new(arch.clone()).run(&trace);
-        runs.push(LabeledRun::from_report(
-            w,
-            p.coords().to_vec(),
-            &profile,
-            arch,
-            &report,
-        ));
+    exec: &E,
+) -> Result<Vec<LabeledRun>, NapelError> {
+    let arch = ArchConfig::paper_default();
+    let mut jobs = Vec::new();
+    for (workload, points) in designs {
+        for p in points {
+            jobs.push(SimJob {
+                index: jobs.len(),
+                workload: *workload,
+                coords: p.coords().to_vec(),
+                arch: arch.clone(),
+                scale,
+            });
+        }
     }
+    Ok(run_supervised(exec, &jobs, &CampaignOptions::default())?.0)
 }
 
 /// Result of the sampler ablation: average (perf, energy) LOAO MRE per
@@ -146,44 +155,18 @@ pub struct SamplerAblation {
     pub rows: Vec<(Sampler, f64, f64)>,
 }
 
-/// Runs the sampler ablation.
+/// Runs the sampler ablation. The sampler loop stays serial (each
+/// strategy draws a fresh seeded RNG stream); each strategy's simulations
+/// and leave-one-out folds run as job batches on `exec`. Each strategy's
+/// fold models are saved as (or loaded from)
+/// `<dir>/ablation-sampler-<strategy>-<workload>.napel` per `io`.
 ///
 /// # Errors
 ///
-/// Propagates estimator failures.
-pub fn sampler_ablation(
-    workloads: &[Workload],
-    scale: Scale,
-    seed: u64,
-) -> Result<SamplerAblation, NapelError> {
-    sampler_ablation_with(workloads, scale, seed, &AnyExecutor::from_env())
-}
-
-/// [`sampler_ablation`] with an explicit campaign executor. The sampler
-/// loop stays serial (each strategy draws a fresh seeded RNG stream);
-/// the leave-one-out folds inside each strategy run as a job batch.
-///
-/// # Errors
-///
-/// Propagates estimator failures.
-pub fn sampler_ablation_with<E: Executor>(
-    workloads: &[Workload],
-    scale: Scale,
-    seed: u64,
-    exec: &E,
-) -> Result<SamplerAblation, NapelError> {
-    sampler_ablation_io(workloads, scale, seed, &ModelIo::none(), exec)
-}
-
-/// [`sampler_ablation_with`] threaded through an artifact policy: each
-/// strategy's fold models are saved as (or loaded from)
-/// `<dir>/ablation-sampler-<strategy>-<workload>.napel`.
-///
-/// # Errors
-///
-/// Propagates estimator failures; [`crate::NapelError::Artifact`] on
-/// save/load failures or schema mismatches.
-pub fn sampler_ablation_io<E: Executor>(
+/// Propagates collection and estimator failures;
+/// [`crate::NapelError::Artifact`] on save/load failures or schema
+/// mismatches.
+pub fn sampler_ablation<E: Executor>(
     workloads: &[Workload],
     scale: Scale,
     seed: u64,
@@ -193,9 +176,9 @@ pub fn sampler_ablation_io<E: Executor>(
     let est = super::fig5::napel_estimator();
     let mut rows = Vec::new();
     for sampler in Sampler::ALL {
-        let set = collect_with_sampler(workloads, sampler, scale, seed)?;
+        let set = collect_with_sampler(workloads, sampler, scale, seed, exec)?;
         let prefix = format!("ablation-sampler-{}", sampler.name());
-        let results = loao_accuracy_io(&est, &set, seed, io, &prefix, exec)?;
+        let results = loao_accuracy(&est, &set, seed, io, &prefix, exec)?;
         let (p, e) = average_mre(&results);
         rows.push((sampler, p, e));
     }
@@ -227,30 +210,21 @@ pub struct EnsembleComparison {
 }
 
 /// Compares the adaptive weighted ensemble against the plain fig5 forest
-/// at the same LOAO protocol and seed.
-///
-/// # Errors
-///
-/// Propagates estimator failures.
-pub fn ensemble_vs_forest(set: &TrainingSet, seed: u64) -> Result<EnsembleComparison, NapelError> {
-    ensemble_vs_forest_io(set, seed, &ModelIo::none(), &AnyExecutor::from_env())
-}
-
-/// [`ensemble_vs_forest`] threaded through an artifact policy and an
-/// explicit executor: fold models are saved as (or loaded from)
-/// `<dir>/ablation-ens-{forest,weighted}-<workload>.napel`.
+/// at the same LOAO protocol and seed, the folds as job batches on
+/// `exec`. Fold models are saved as (or loaded from)
+/// `<dir>/ablation-ens-{forest,weighted}-<workload>.napel` per `io`.
 ///
 /// # Errors
 ///
 /// Propagates estimator failures; [`crate::NapelError::Artifact`] on
 /// save/load failures or schema mismatches.
-pub fn ensemble_vs_forest_io<E: Executor>(
+pub fn ensemble_vs_forest<E: Executor>(
     set: &TrainingSet,
     seed: u64,
     io: &ModelIo,
     exec: &E,
 ) -> Result<EnsembleComparison, NapelError> {
-    let forest = loao_accuracy_io(
+    let forest = loao_accuracy(
         &LogOf(super::fig5::napel_estimator()),
         set,
         seed,
@@ -259,7 +233,7 @@ pub fn ensemble_vs_forest_io<E: Executor>(
         exec,
     )?;
     let est = ensemble_estimator();
-    let ens = loao_accuracy_io(&est, set, seed, io, "ablation-ens-weighted", exec)?;
+    let ens = loao_accuracy(&est, set, seed, io, "ablation-ens-weighted", exec)?;
     // One fit on the full set to report where the weights landed.
     let mut rng = StdRng::seed_from_u64(seed);
     let fitted = est.fit(&set.ipc_dataset()?, &mut rng)?;
@@ -290,21 +264,32 @@ pub fn render_ensemble(c: &EnsembleComparison) -> String {
 pub const ACTIVE_POOL: usize = 16;
 
 /// Collects a per-application *prefix* of the CCD — the plain arm of the
-/// accuracy-vs-budget comparison. `budget` is points per application,
-/// capped at each application's full (deduplicated) CCD.
-pub fn collect_ccd_prefix(workloads: &[Workload], budget: usize, scale: Scale) -> TrainingSet {
-    let arch = ArchConfig::paper_default();
-    let mut runs = Vec::new();
-    for &w in workloads {
-        let ccd = doe_points(&w.spec(), true);
-        let n = budget.min(ccd.len());
-        simulate_points(w, &ccd[..n], scale, &arch, &mut runs);
-    }
-    TrainingSet {
+/// accuracy-vs-budget comparison — simulating it on `exec`. `budget` is
+/// points per application, capped at each application's full
+/// (deduplicated) CCD.
+///
+/// # Errors
+///
+/// [`NapelError::Job`] for a failed simulation job.
+pub fn collect_ccd_prefix<E: Executor>(
+    workloads: &[Workload],
+    budget: usize,
+    scale: Scale,
+    exec: &E,
+) -> Result<TrainingSet, NapelError> {
+    let designs: Vec<(Workload, Vec<DesignPoint>)> = workloads
+        .iter()
+        .map(|&w| {
+            let mut ccd = doe_points(&w.spec(), true);
+            ccd.truncate(budget);
+            (w, ccd)
+        })
+        .collect();
+    Ok(TrainingSet {
         feature_names: combined_feature_names(),
-        runs,
+        runs: simulate(&designs, scale, exec)?,
         stats: Default::default(),
-    }
+    })
 }
 
 /// Collects the active arm: per application, half the budget is the CCD
@@ -312,18 +297,21 @@ pub fn collect_ccd_prefix(workloads: &[Workload], budget: usize, scale: Scale) -
 /// one simulation at a time where a forest surrogate's per-tree spread
 /// over the candidate pool is highest. Candidates are scored without
 /// simulating them (trace generation + profiling only); each committed
-/// point is then simulated and the surrogate refit before the next round.
+/// point is then simulated on `exec` and the surrogate refit before the
+/// next round.
 ///
 /// # Errors
 ///
 /// Propagates [`napel_doe::DesignError`] from the augmentation loop (as
-/// [`NapelError::Design`]).
-pub fn collect_active(
+/// [`NapelError::Design`]) and a failed simulation job (as
+/// [`NapelError::Job`]).
+pub fn collect_active<E: Executor>(
     workloads: &[Workload],
     budget: usize,
     pool: usize,
     scale: Scale,
     seed: u64,
+    exec: &E,
 ) -> Result<TrainingSet, NapelError> {
     let arch = ArchConfig::paper_default();
     let surrogate = LogOf(RandomForestParams {
@@ -344,9 +332,10 @@ pub fn collect_active(
         let budget = budget.min(ccd.len());
         let seed_len = (budget / 2).max(3).min(budget);
         let seed_pts = &ccd[..seed_len];
-        let mut wruns: Vec<LabeledRun> = Vec::new();
-        simulate_points(w, seed_pts, scale, &arch, &mut wruns);
-        let mut simulated = seed_len;
+        // One row per simulated point: the campaign fails fast, so
+        // `wruns.len()` is also the count of design points simulated.
+        let mut wruns = simulate(&[(w, seed_pts.to_vec())], scale, exec)?;
+        let mut failure = None;
         let design = active_augment(
             &space,
             seed_pts,
@@ -356,9 +345,15 @@ pub fn collect_active(
             |design, cands| {
                 // Simulate the points committed since the last round, then
                 // refit the surrogate on everything labeled so far.
-                if design.len() > simulated {
-                    simulate_points(w, &design[simulated..], scale, &arch, &mut wruns);
-                    simulated = design.len();
+                if failure.is_none() && design.len() > wruns.len() {
+                    match simulate(&[(w, design[wruns.len()..].to_vec())], scale, exec) {
+                        Ok(rows) => wruns.extend(rows),
+                        Err(e) => failure = Some(e),
+                    }
+                }
+                if failure.is_some() {
+                    // The collection has failed; let the loop run out.
+                    return vec![0.0; cands.len()];
                 }
                 let mut spread = || -> Option<Vec<f64>> {
                     let mut b = Dataset::builder(combined_feature_names());
@@ -382,8 +377,15 @@ pub fn collect_active(
                 spread().unwrap_or_else(|| vec![0.0; cands.len()])
             },
         )?;
-        if design.len() > simulated {
-            simulate_points(w, &design[simulated..], scale, &arch, &mut wruns);
+        if let Some(e) = failure {
+            return Err(e);
+        }
+        if design.len() > wruns.len() {
+            wruns.extend(simulate(
+                &[(w, design[wruns.len()..].to_vec())],
+                scale,
+                exec,
+            )?);
         }
         runs.append(&mut wruns);
     }
@@ -425,37 +427,17 @@ impl BudgetCurve {
 }
 
 /// Runs the accuracy-vs-budget comparison at each of `budgets` points per
-/// application.
+/// application, the simulations and leave-one-out folds as job batches
+/// on `exec`. Fold models are saved as (or loaded from)
+/// `<dir>/ablation-budget-{ccd,active}-<budget>-<workload>.napel` per
+/// `io`.
 ///
 /// # Errors
 ///
-/// Propagates estimator failures and design errors.
-pub fn budget_curve(
-    workloads: &[Workload],
-    scale: Scale,
-    budgets: &[usize],
-    seed: u64,
-) -> Result<BudgetCurve, NapelError> {
-    budget_curve_io(
-        workloads,
-        scale,
-        budgets,
-        seed,
-        &ModelIo::none(),
-        &AnyExecutor::from_env(),
-    )
-}
-
-/// [`budget_curve`] threaded through an artifact policy and an explicit
-/// executor: fold models are saved as (or loaded from)
-/// `<dir>/ablation-budget-{ccd,active}-<budget>-<workload>.napel`.
-///
-/// # Errors
-///
-/// Propagates estimator failures and design errors;
+/// Propagates collection and estimator failures and design errors;
 /// [`crate::NapelError::Artifact`] on save/load failures or schema
 /// mismatches.
-pub fn budget_curve_io<E: Executor>(
+pub fn budget_curve<E: Executor>(
     workloads: &[Workload],
     scale: Scale,
     budgets: &[usize],
@@ -466,12 +448,12 @@ pub fn budget_curve_io<E: Executor>(
     let est = LogOf(super::fig5::napel_estimator());
     let mut points = Vec::new();
     for &b in budgets {
-        let ccd_set = collect_ccd_prefix(workloads, b, scale);
+        let ccd_set = collect_ccd_prefix(workloads, b, scale, exec)?;
         let prefix = format!("ablation-budget-ccd-{b}");
-        let ccd = loao_accuracy_io(&est, &ccd_set, seed, io, &prefix, exec)?;
-        let active_set = collect_active(workloads, b, ACTIVE_POOL, scale, seed)?;
+        let ccd = loao_accuracy(&est, &ccd_set, seed, io, &prefix, exec)?;
+        let active_set = collect_active(workloads, b, ACTIVE_POOL, scale, seed, exec)?;
         let prefix = format!("ablation-budget-active-{b}");
-        let active = loao_accuracy_io(&est, &active_set, seed, io, &prefix, exec)?;
+        let active = loao_accuracy(&est, &active_set, seed, io, &prefix, exec)?;
         points.push(BudgetPoint {
             budget: b,
             ccd: average_mre(&ccd),
@@ -515,43 +497,16 @@ pub struct ForestSweep {
     pub points: Vec<(usize, f64)>,
 }
 
-/// Sweeps the number of trees on an existing training set.
-///
-/// # Errors
-///
-/// Propagates estimator failures.
-pub fn forest_size_sweep(
-    set: &TrainingSet,
-    sizes: &[usize],
-    seed: u64,
-) -> Result<ForestSweep, NapelError> {
-    forest_size_sweep_with(set, sizes, seed, &AnyExecutor::from_env())
-}
-
-/// [`forest_size_sweep`] with an explicit campaign executor for the
-/// leave-one-out folds.
-///
-/// # Errors
-///
-/// Propagates estimator failures.
-pub fn forest_size_sweep_with<E: Executor>(
-    set: &TrainingSet,
-    sizes: &[usize],
-    seed: u64,
-    exec: &E,
-) -> Result<ForestSweep, NapelError> {
-    forest_size_sweep_io(set, sizes, seed, &ModelIo::none(), exec)
-}
-
-/// [`forest_size_sweep_with`] threaded through an artifact policy: each
-/// sweep point's fold models are saved as (or loaded from)
-/// `<dir>/ablation-forest-<n>-<workload>.napel`.
+/// Sweeps the number of trees on an existing training set, the
+/// leave-one-out folds as job batches on `exec`. Each sweep point's fold
+/// models are saved as (or loaded from)
+/// `<dir>/ablation-forest-<n>-<workload>.napel` per `io`.
 ///
 /// # Errors
 ///
 /// Propagates estimator failures; [`crate::NapelError::Artifact`] on
 /// save/load failures or schema mismatches.
-pub fn forest_size_sweep_io<E: Executor>(
+pub fn forest_size_sweep<E: Executor>(
     set: &TrainingSet,
     sizes: &[usize],
     seed: u64,
@@ -569,7 +524,7 @@ pub fn forest_size_sweep_io<E: Executor>(
             bootstrap: true,
         };
         let prefix = format!("ablation-forest-{n}");
-        let results = loao_accuracy_io(&est, set, seed, io, &prefix, exec)?;
+        let results = loao_accuracy(&est, set, seed, io, &prefix, exec)?;
         let (p, _) = average_mre(&results);
         points.push((n, p));
     }
@@ -586,45 +541,18 @@ pub struct ScreeningPoint {
 }
 
 /// Feature-screening ablation: rank features by permutation importance of a
-/// forest trained on everything, then retrain on the top-k only.
-///
-/// # Errors
-///
-/// Propagates estimator failures.
-pub fn screening_ablation(
-    set: &TrainingSet,
-    keep_counts: &[usize],
-    seed: u64,
-) -> Result<Vec<ScreeningPoint>, NapelError> {
-    screening_ablation_with(set, keep_counts, seed, &AnyExecutor::from_env())
-}
-
-/// [`screening_ablation`] with an explicit campaign executor for the
-/// leave-one-out folds.
-///
-/// # Errors
-///
-/// Propagates estimator failures.
-pub fn screening_ablation_with<E: Executor>(
-    set: &TrainingSet,
-    keep_counts: &[usize],
-    seed: u64,
-    exec: &E,
-) -> Result<Vec<ScreeningPoint>, NapelError> {
-    screening_ablation_io(set, keep_counts, seed, &ModelIo::none(), exec)
-}
-
-/// [`screening_ablation_with`] threaded through an artifact policy: fold
-/// models are saved as (or loaded from)
-/// `<dir>/ablation-screen-{all,<k>}-<workload>.napel`. Note that the
-/// projected-feature artifacts carry the *projected* schema and validate
-/// against it, not against the full combined schema.
+/// forest trained on everything, then retrain on the top-k only, the
+/// leave-one-out folds as job batches on `exec`. Fold models are saved as
+/// (or loaded from) `<dir>/ablation-screen-{all,<k>}-<workload>.napel`
+/// per `io`. Note that the projected-feature artifacts carry the
+/// *projected* schema and validate against it, not against the full
+/// combined schema.
 ///
 /// # Errors
 ///
 /// Propagates estimator failures; [`crate::NapelError::Artifact`] on
 /// save/load failures or schema mismatches.
-pub fn screening_ablation_io<E: Executor>(
+pub fn screening_ablation<E: Executor>(
     set: &TrainingSet,
     keep_counts: &[usize],
     seed: u64,
@@ -641,7 +569,7 @@ pub fn screening_ablation_io<E: Executor>(
 
     let mut out = Vec::new();
     // Baseline: all features.
-    let all = loao_accuracy_io(&est, set, seed, io, "ablation-screen-all", exec)?;
+    let all = loao_accuracy(&est, set, seed, io, "ablation-screen-all", exec)?;
     out.push(ScreeningPoint {
         kept: usize::MAX,
         perf_mre: average_mre(&all).0,
@@ -657,7 +585,7 @@ pub fn screening_ablation_io<E: Executor>(
             run.features = keep.iter().map(|&i| run.features[i]).collect();
         }
         let prefix = format!("ablation-screen-{k}");
-        let results = loao_accuracy_io(&est, &projected, seed, io, &prefix, exec)?;
+        let results = loao_accuracy(&est, &projected, seed, io, &prefix, exec)?;
         out.push(ScreeningPoint {
             kept: k,
             perf_mre: average_mre(&results).0,
@@ -791,11 +719,16 @@ pub fn render(samplers: &SamplerAblation, sweep: &ForestSweep) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::AnyExecutor;
+
+    fn exec() -> AnyExecutor {
+        AnyExecutor::from_env()
+    }
 
     #[test]
     fn sampler_ablation_covers_all_strategies() {
         let apps = [Workload::Atax, Workload::Gemv];
-        let result = sampler_ablation(&apps, Scale::tiny(), 5).unwrap();
+        let result = sampler_ablation(&apps, Scale::tiny(), 5, &ModelIo::none(), &exec()).unwrap();
         assert_eq!(result.rows.len(), 4);
         for (_, p, e) in &result.rows {
             assert!(p.is_finite() && e.is_finite());
@@ -809,12 +742,15 @@ mod tests {
             Sampler::Ccd,
             Scale::tiny(),
             5,
+            &exec(),
         )
         .unwrap();
-        let sweep = forest_size_sweep(&set, &[5, 20], 5).unwrap();
+        let none = ModelIo::none();
+        let sweep = forest_size_sweep(&set, &[5, 20], 5, &none, &exec()).unwrap();
         assert_eq!(sweep.points.len(), 2);
+        let apps = [Workload::Atax, Workload::Gemv];
         let s = render(
-            &sampler_ablation(&[Workload::Atax, Workload::Gemv], Scale::tiny(), 5).unwrap(),
+            &sampler_ablation(&apps, Scale::tiny(), 5, &none, &exec()).unwrap(),
             &sweep,
         );
         assert!(s.contains("Sampler") && s.contains("#Trees"));
@@ -822,13 +758,14 @@ mod tests {
 
     #[test]
     fn ccd_prefix_respects_the_budget() {
-        let set = collect_ccd_prefix(&[Workload::Atax, Workload::Gemv], 5, Scale::tiny());
+        let set = collect_ccd_prefix(&[Workload::Atax, Workload::Gemv], 5, Scale::tiny(), &exec())
+            .unwrap();
         for w in [Workload::Atax, Workload::Gemv] {
             let n = set.runs.iter().filter(|r| r.workload == w).count();
             assert_eq!(n, 5, "{w}");
         }
         // A budget past the CCD caps at the full design.
-        let full = collect_ccd_prefix(&[Workload::Atax], 10_000, Scale::tiny());
+        let full = collect_ccd_prefix(&[Workload::Atax], 10_000, Scale::tiny(), &exec()).unwrap();
         let ccd_len = doe_points(&Workload::Atax.spec(), true).len();
         assert_eq!(full.runs.len(), ccd_len);
     }
@@ -836,28 +773,29 @@ mod tests {
     #[test]
     fn active_collection_reaches_the_budget_and_differs_from_ccd() {
         let apps = [Workload::Atax, Workload::Gemv];
-        let active = collect_active(&apps, 7, ACTIVE_POOL, Scale::tiny(), 9).unwrap();
+        let active = collect_active(&apps, 7, ACTIVE_POOL, Scale::tiny(), 9, &exec()).unwrap();
         for w in apps {
             let n = active.runs.iter().filter(|r| r.workload == w).count();
             assert_eq!(n, 7, "{w}");
         }
         // The non-seed points come from the hypercube, not the CCD grid:
         // the two arms must not collapse into the same design.
-        let plain = collect_ccd_prefix(&apps, 7, Scale::tiny());
+        let plain = collect_ccd_prefix(&apps, 7, Scale::tiny(), &exec()).unwrap();
         assert_ne!(
             active.content_hash(),
             plain.content_hash(),
             "active sampling should leave the CCD prefix"
         );
         // Same seed, same campaign.
-        let again = collect_active(&apps, 7, ACTIVE_POOL, Scale::tiny(), 9).unwrap();
+        let again = collect_active(&apps, 7, ACTIVE_POOL, Scale::tiny(), 9, &exec()).unwrap();
         assert_eq!(active.content_hash(), again.content_hash());
     }
 
     #[test]
     fn budget_curve_runs_and_renders() {
         let apps = [Workload::Atax, Workload::Gemv];
-        let curve = budget_curve(&apps, Scale::tiny(), &[5, 7], 11).unwrap();
+        let curve =
+            budget_curve(&apps, Scale::tiny(), &[5, 7], 11, &ModelIo::none(), &exec()).unwrap();
         assert_eq!(curve.points.len(), 2);
         for p in &curve.points {
             assert!(p.ccd.0.is_finite() && p.active.0.is_finite());
@@ -877,9 +815,10 @@ mod tests {
             Sampler::Ccd,
             Scale::tiny(),
             13,
+            &exec(),
         )
         .unwrap();
-        let c = ensemble_vs_forest(&set, 13).unwrap();
+        let c = ensemble_vs_forest(&set, 13, &ModelIo::none(), &exec()).unwrap();
         assert!(c.forest.0.is_finite() && c.ensemble.0.is_finite());
         assert!(c
             .weights
@@ -896,9 +835,10 @@ mod tests {
             Sampler::Ccd,
             Scale::tiny(),
             7,
+            &exec(),
         )
         .unwrap();
-        let points = screening_ablation(&set, &[10, 50], 7).unwrap();
+        let points = screening_ablation(&set, &[10, 50], 7, &ModelIo::none(), &exec()).unwrap();
         assert_eq!(points.len(), 3); // all + two subsets
         assert_eq!(points[0].kept, usize::MAX);
         assert_eq!(points[1].kept, 10);

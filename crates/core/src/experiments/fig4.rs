@@ -25,7 +25,7 @@ use napel_workloads::Workload;
 use nmc_sim::{ArchConfig, NmcSystem, RowPolicy};
 
 use crate::artifact::ModelIo;
-use crate::campaign::{AnyExecutor, Executor};
+use crate::campaign::Executor;
 use crate::model::{Napel, NapelConfig};
 use crate::NapelError;
 
@@ -79,37 +79,10 @@ pub fn sample_arch_configs(n: usize, seed: u64) -> Vec<ArchConfig> {
 
 /// Runs the Figure 4 measurement for every workload in the context.
 ///
-/// # Errors
-///
-/// Propagates training failures.
-pub fn run(
-    ctx: &super::Context,
-    config: &NapelConfig,
-    num_configs: usize,
-) -> Result<Vec<Fig4Row>, NapelError> {
-    run_with(ctx, config, num_configs, &AnyExecutor::from_env())
-}
-
-/// [`run`] with an explicit campaign executor.
-///
-/// The twelve leave-one-out trainings form one job batch; the timed
+/// The leave-one-out trainings form one job batch on `exec`; the timed
 /// simulate/predict sections stay serial so each row's wall-clock numbers
-/// are not distorted by concurrent load.
-///
-/// # Errors
-///
-/// Propagates training failures.
-pub fn run_with<E: Executor>(
-    ctx: &super::Context,
-    config: &NapelConfig,
-    num_configs: usize,
-    exec: &E,
-) -> Result<Vec<Fig4Row>, NapelError> {
-    run_with_io(ctx, config, num_configs, &ModelIo::none(), exec)
-}
-
-/// [`run_with`] threaded through an artifact policy: each leave-one-out
-/// model is saved as (or loaded from) `<dir>/fig4-<workload>.napel`. With
+/// are not distorted by concurrent load. Each leave-one-out model is
+/// saved as (or loaded from) `<dir>/fig4-<workload>.napel` per `io`. With
 /// a load directory, the training batch disappears entirely — the figure
 /// is regenerated from stored models, whose predictions are bit-identical
 /// to the direct path's.
@@ -118,7 +91,7 @@ pub fn run_with<E: Executor>(
 ///
 /// Propagates training failures; [`crate::NapelError::Artifact`] on
 /// save/load failures or schema mismatches.
-pub fn run_with_io<E: Executor>(
+pub fn run<E: Executor>(
     ctx: &super::Context,
     config: &NapelConfig,
     num_configs: usize,
@@ -202,7 +175,6 @@ pub fn render(rows: &[Fig4Row]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use napel_workloads::Scale;
 
     #[test]
     fn sampled_archs_are_valid_and_diverse() {
@@ -218,12 +190,9 @@ mod tests {
 
     #[test]
     fn speedup_exceeds_one_even_at_tiny_scale() {
-        let ctx = super::super::Context::build_subset(
-            vec![Workload::Atax, Workload::Gemv],
-            Scale::tiny(),
-            2,
-        );
-        let rows = run(&ctx, &NapelConfig::untuned(), 8).unwrap();
+        let ctx = super::super::tiny_context(vec![Workload::Atax, Workload::Gemv], 2);
+        let exec = crate::campaign::AnyExecutor::from_env();
+        let rows = run(&ctx, &NapelConfig::untuned(), 8, &ModelIo::none(), &exec).unwrap();
         assert_eq!(rows.len(), 2);
         for r in &rows {
             // Amortized analysis + cheap inference must beat 8 simulations.

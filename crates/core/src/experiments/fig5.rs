@@ -19,9 +19,9 @@ use napel_ml::model_tree::ModelTreeParams;
 use napel_ml::tree::{DecisionTreeParams, FeatureSubset};
 use napel_workloads::Workload;
 
-use crate::analysis::{average_mre, loao_accuracy_io, LoaoResult};
+use crate::analysis::{average_mre, loao_accuracy, LoaoResult};
 use crate::artifact::ModelIo;
-use crate::campaign::{AnyExecutor, Executor};
+use crate::campaign::Executor;
 use crate::NapelError;
 
 /// Per-workload MREs for the three estimators.
@@ -92,35 +92,17 @@ pub fn dtree_estimator() -> ModelTreeParams {
     ModelTreeParams::default()
 }
 
-/// Runs the Figure 5 comparison.
-///
-/// # Errors
-///
-/// Propagates estimator failures.
-pub fn run(ctx: &super::Context) -> Result<Fig5Result, NapelError> {
-    run_with(ctx, &AnyExecutor::from_env())
-}
-
-/// [`run`] with an explicit campaign executor for the leave-one-out
-/// folds.
-///
-/// # Errors
-///
-/// Propagates estimator failures.
-pub fn run_with<E: Executor>(ctx: &super::Context, exec: &E) -> Result<Fig5Result, NapelError> {
-    run_with_io(ctx, &ModelIo::none(), exec)
-}
-
-/// [`run_with`] threaded through an artifact policy: each estimator's
-/// leave-one-out fold models are saved as (or loaded from)
-/// `<dir>/fig5-{napel,ann,dtree}-<workload>.napel` — every family of the
-/// comparison round-trips through the same persistence layer.
+/// Runs the Figure 5 comparison, the leave-one-out folds as job batches
+/// on `exec`. Each estimator's fold models are saved as (or loaded from)
+/// `<dir>/fig5-{napel,ann,dtree}-<workload>.napel` per `io` — every
+/// family of the comparison round-trips through the same persistence
+/// layer.
 ///
 /// # Errors
 ///
 /// Propagates estimator failures; [`crate::NapelError::Artifact`] on
 /// save/load failures or schema mismatches.
-pub fn run_with_io<E: Executor>(
+pub fn run<E: Executor>(
     ctx: &super::Context,
     io: &ModelIo,
     exec: &E,
@@ -128,7 +110,7 @@ pub fn run_with_io<E: Executor>(
     // All three estimators fit in log-space (see `napel_ml::log_space`) so
     // the comparison stays apples-to-apples.
     let set = &ctx.training;
-    let rf = loao_accuracy_io(
+    let rf = loao_accuracy(
         &LogOf(napel_estimator()),
         set,
         ctx.seed,
@@ -136,8 +118,8 @@ pub fn run_with_io<E: Executor>(
         "fig5-napel",
         exec,
     )?;
-    let ann = loao_accuracy_io(&LogOf(ann_estimator()), set, ctx.seed, io, "fig5-ann", exec)?;
-    let dt = loao_accuracy_io(
+    let ann = loao_accuracy(&LogOf(ann_estimator()), set, ctx.seed, io, "fig5-ann", exec)?;
+    let dt = loao_accuracy(
         &LogOf(dtree_estimator()),
         set,
         ctx.seed,
@@ -221,16 +203,13 @@ fn pct(v: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use napel_workloads::Scale;
 
     #[test]
     fn three_estimators_compared_per_workload() {
-        let ctx = super::super::Context::build_subset(
-            vec![Workload::Atax, Workload::Gemv, Workload::Syrk],
-            Scale::tiny(),
-            3,
-        );
-        let result = run(&ctx).unwrap();
+        let ctx =
+            super::super::tiny_context(vec![Workload::Atax, Workload::Gemv, Workload::Syrk], 3);
+        let exec = crate::campaign::AnyExecutor::from_env();
+        let result = run(&ctx, &ModelIo::none(), &exec).unwrap();
         assert_eq!(result.rows.len(), 3);
         for r in &result.rows {
             for (p, e) in [r.napel, r.ann, r.dtree] {

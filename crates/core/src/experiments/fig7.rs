@@ -10,9 +10,9 @@
 use napel_workloads::Workload;
 use nmc_sim::ArchConfig;
 
-use crate::analysis::{nmc_suitability_io, SuitabilityRow};
+use crate::analysis::{nmc_suitability, SuitabilityRow};
 use crate::artifact::ModelIo;
-use crate::campaign::{AnyExecutor, Executor};
+use crate::campaign::Executor;
 use crate::model::NapelConfig;
 use crate::NapelError;
 
@@ -45,46 +45,24 @@ impl Fig7Result {
     }
 }
 
-/// Runs the use case over the context's applications.
-///
-/// # Errors
-///
-/// Propagates training failures.
-pub fn run(ctx: &super::Context, config: &NapelConfig) -> Result<Fig7Result, NapelError> {
-    run_with(ctx, config, &AnyExecutor::from_env())
-}
-
-/// [`run`] with an explicit campaign executor for the per-application
-/// suitability jobs.
-///
-/// # Errors
-///
-/// Propagates training failures.
-pub fn run_with<E: Executor>(
-    ctx: &super::Context,
-    config: &NapelConfig,
-    exec: &E,
-) -> Result<Fig7Result, NapelError> {
-    run_with_io(ctx, config, &ModelIo::none(), exec)
-}
-
-/// [`run_with`] threaded through an artifact policy: each held-out
+/// Runs the use case over the context's applications, one
+/// per-application suitability job each on `exec`. Each held-out
 /// application's model is saved as (or loaded from)
-/// `<dir>/fig7-<workload>.napel`; with a load directory the figure's
-/// predicted columns come from stored models, bit-identical to the
-/// direct path.
+/// `<dir>/fig7-<workload>.napel` per `io`; with a load directory the
+/// figure's predicted columns come from stored models, bit-identical to
+/// the direct path.
 ///
 /// # Errors
 ///
 /// Propagates training failures; [`crate::NapelError::Artifact`] on
 /// save/load failures or schema mismatches.
-pub fn run_with_io<E: Executor>(
+pub fn run<E: Executor>(
     ctx: &super::Context,
     config: &NapelConfig,
     io: &ModelIo,
     exec: &E,
 ) -> Result<Fig7Result, NapelError> {
-    let rows = nmc_suitability_io(
+    let rows = nmc_suitability(
         &ctx.training,
         config,
         &ArchConfig::paper_default(),
@@ -140,16 +118,13 @@ pub fn render(result: &Fig7Result) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use napel_workloads::Scale;
 
     #[test]
     fn result_aggregates_work() {
-        let ctx = super::super::Context::build_subset(
-            vec![Workload::Atax, Workload::Gemv, Workload::Bfs],
-            Scale::tiny(),
-            4,
-        );
-        let result = run(&ctx, &NapelConfig::untuned()).unwrap();
+        let ctx =
+            super::super::tiny_context(vec![Workload::Atax, Workload::Gemv, Workload::Bfs], 4);
+        let exec = crate::campaign::AnyExecutor::from_env();
+        let result = run(&ctx, &NapelConfig::untuned(), &ModelIo::none(), &exec).unwrap();
         assert_eq!(result.rows.len(), 3);
         assert!(result.agreements() <= 3);
         assert!(result.average_edp_mre().is_finite());

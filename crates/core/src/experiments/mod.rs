@@ -27,10 +27,10 @@ pub mod table2;
 pub mod table3;
 pub mod table4;
 
-use napel_workloads::{Scale, Workload};
+use napel_workloads::Scale;
 
-use crate::campaign::{AnyExecutor, Executor};
-use crate::collect::{collect_supervised, collect_with, CollectionPlan};
+use crate::campaign::Executor;
+use crate::collect::{collect, CollectionPlan};
 use crate::fault::{CampaignOptions, CampaignReport};
 use crate::features::TrainingSet;
 use crate::NapelError;
@@ -43,35 +43,15 @@ pub struct Context {
     pub scale: Scale,
     /// Seed for every randomized step.
     pub seed: u64,
-    /// The full 12-application training set on the Table 3 architecture.
+    /// The training set the plan's campaign collected — for the drivers,
+    /// [`crate::collect::evaluation_plan`]'s applications on three
+    /// architectures around the Table 3 design.
     pub training: TrainingSet,
 }
 
 impl Context {
-    /// Collects training data for all twelve applications at `scale`.
-    ///
-    /// Following Section 2.5 ("we run these DoE-selected application-input
-    /// configurations on different architectural configurations"), every
-    /// DoE point is simulated on a small set of architectures around the
-    /// Table 3 design, which both teaches the model its architectural
-    /// sensitivity and enlarges the training set. Three configurations keep
-    /// single-core collection time reasonable; pass a custom plan through
-    /// [`crate::collect::collect`] for a denser sweep.
-    pub fn build(scale: Scale, seed: u64) -> Self {
-        Self::build_with(scale, seed, &AnyExecutor::from_env())
-    }
-
-    /// [`Context::build`] with an explicit campaign executor.
-    pub fn build_with<E: Executor>(scale: Scale, seed: u64, exec: &E) -> Self {
-        Context {
-            scale,
-            seed,
-            training: collect_with(&Self::full_plan(scale), exec),
-        }
-    }
-
-    /// [`Context::build`] under the supervised, fault-tolerant campaign
-    /// runtime: the collection honors `opts` (fail policy, retries,
+    /// Collects `plan`'s training set on `exec` under the supervised
+    /// campaign runtime: the collection honors `opts` (fail policy,
     /// checkpoint journal) and the returned [`CampaignReport`] itemizes
     /// every job — restored-from-checkpoint counts, quarantined failures,
     /// timing.
@@ -80,57 +60,21 @@ impl Context {
     ///
     /// [`NapelError::Job`] on a fail-fast job failure and
     /// [`NapelError::Checkpoint`] if the journal cannot be opened.
-    pub fn build_supervised<E: Executor>(
-        scale: Scale,
+    pub fn build<E: Executor>(
+        plan: &CollectionPlan,
         seed: u64,
         exec: &E,
         opts: &CampaignOptions,
     ) -> Result<(Self, CampaignReport), NapelError> {
-        let (training, report) = collect_supervised(&Self::full_plan(scale), exec, opts)?;
+        let (training, report) = collect(plan, exec, opts)?;
         Ok((
             Context {
-                scale,
+                scale: plan.scale,
                 seed,
                 training,
             },
             report,
         ))
-    }
-
-    /// The full-evaluation collection plan behind [`Context::build`]: all
-    /// twelve applications, three architectures around the Table 3 design.
-    fn full_plan(scale: Scale) -> CollectionPlan {
-        let neighborhood = crate::collect::arch_neighborhood();
-        CollectionPlan {
-            scale,
-            arch_configs: neighborhood.into_iter().take(3).collect(),
-            ..CollectionPlan::default()
-        }
-    }
-
-    /// Context restricted to a subset of applications (cheap tests; single
-    /// architecture).
-    pub fn build_subset(workloads: Vec<Workload>, scale: Scale, seed: u64) -> Self {
-        Self::build_subset_with(workloads, scale, seed, &AnyExecutor::from_env())
-    }
-
-    /// [`Context::build_subset`] with an explicit campaign executor.
-    pub fn build_subset_with<E: Executor>(
-        workloads: Vec<Workload>,
-        scale: Scale,
-        seed: u64,
-        exec: &E,
-    ) -> Self {
-        let plan = CollectionPlan {
-            workloads,
-            scale,
-            ..CollectionPlan::default()
-        };
-        Context {
-            scale,
-            seed,
-            training: collect_with(&plan, exec),
-        }
     }
 }
 
@@ -167,6 +111,21 @@ pub(crate) fn render_table(header: &[&str], rows: &[Vec<String>]) -> String {
     out
 }
 
+/// A single-architecture context over `workloads` at tiny scale, for the
+/// experiment modules' unit tests.
+#[cfg(test)]
+pub(crate) fn tiny_context(workloads: Vec<napel_workloads::Workload>, seed: u64) -> Context {
+    let plan = CollectionPlan {
+        workloads,
+        scale: Scale::tiny(),
+        ..CollectionPlan::default()
+    };
+    let exec = crate::campaign::AnyExecutor::from_env();
+    Context::build(&plan, seed, &exec, &CampaignOptions::default())
+        .expect("clean campaign")
+        .0
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -191,7 +150,10 @@ mod tests {
 
     #[test]
     fn subset_context_collects_only_requested() {
-        let ctx = Context::build_subset(vec![Workload::Atax], Scale::tiny(), 1);
+        use napel_workloads::Workload;
+        let ctx = tiny_context(vec![Workload::Atax], 1);
         assert_eq!(ctx.training.workloads(), vec![Workload::Atax]);
+        assert_eq!(ctx.scale, Scale::tiny());
+        assert_eq!(ctx.seed, 1);
     }
 }

@@ -13,8 +13,9 @@ use napel_workloads::Workload;
 use nmc_sim::ArchConfig;
 
 use crate::artifact::ModelIo;
-use crate::campaign::{AnyExecutor, Executor};
-use crate::collect::{collect_app_with, doe_config_count, CollectionPlan};
+use crate::campaign::Executor;
+use crate::collect::{collect, doe_config_count, CollectionPlan};
+use crate::fault::CampaignOptions;
 use crate::model::{Napel, NapelConfig};
 use crate::NapelError;
 
@@ -40,44 +41,23 @@ pub struct Table4Row {
 /// Computes Table 4.
 ///
 /// `ctx.training` must contain all applications that should participate in
-/// the leave-one-out trainings.
-///
-/// # Errors
-///
-/// Propagates training failures.
-pub fn run(ctx: &super::Context, config: &NapelConfig) -> Result<Vec<Table4Row>, NapelError> {
-    run_with(ctx, config, &AnyExecutor::from_env())
-}
-
-/// [`run`] with an explicit campaign executor.
-///
-/// The per-application loop stays serial so each row's timings are
-/// attributable to that application; within a row, the DoE collection
-/// itself runs as a job batch on `exec` (so its "DoE run" wall-clock
-/// reflects the configured parallelism).
-///
-/// # Errors
-///
-/// Propagates training failures.
-pub fn run_with<E: Executor>(
-    ctx: &super::Context,
-    config: &NapelConfig,
-    exec: &E,
-) -> Result<Vec<Table4Row>, NapelError> {
-    run_with_io(ctx, config, &ModelIo::none(), exec)
-}
-
-/// [`run_with`] threaded through an artifact policy: each leave-one-out
-/// model is saved as (or loaded from) `<dir>/table4-<workload>.napel`.
+/// the leave-one-out trainings. The per-application loop stays serial so
+/// each row's timings are attributable to that application; within a
+/// row, the DoE collection itself runs as a job batch on `exec` (so its
+/// "DoE run" wall-clock reflects the configured parallelism). That
+/// collection is measured fresh: it runs under default campaign options,
+/// never restoring from a checkpoint journal. Each leave-one-out model is
+/// saved as (or loaded from) `<dir>/table4-<workload>.napel` per `io`.
 /// With a load directory, the "Train+Tune" column measures the artifact
 /// load instead of training — the table then quantifies exactly what the
 /// train-once/predict-many split buys.
 ///
 /// # Errors
 ///
-/// Propagates training failures; [`crate::NapelError::Artifact`] on
-/// save/load failures or schema mismatches.
-pub fn run_with_io<E: Executor>(
+/// Propagates collection and training failures;
+/// [`crate::NapelError::Artifact`] on save/load failures or schema
+/// mismatches.
+pub fn run<E: Executor>(
     ctx: &super::Context,
     config: &NapelConfig,
     io: &ModelIo,
@@ -92,7 +72,7 @@ pub fn run_with_io<E: Executor>(
             scale: ctx.scale,
             ..Default::default()
         };
-        let (_, stats) = collect_app_with(w, &plan, exec);
+        let stats = collect(&plan, exec, &CampaignOptions::default())?.1.stats;
         let doe_run_seconds =
             stats.generate_seconds + stats.profile_seconds + stats.simulate_seconds;
 
@@ -152,16 +132,12 @@ pub fn render(rows: &[Table4Row]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use napel_workloads::Scale;
 
     #[test]
     fn rows_have_paper_doe_counts_and_sane_times() {
-        let ctx = super::super::Context::build_subset(
-            vec![Workload::Atax, Workload::Gemv],
-            Scale::tiny(),
-            1,
-        );
-        let rows = run(&ctx, &NapelConfig::untuned()).unwrap();
+        let ctx = super::super::tiny_context(vec![Workload::Atax, Workload::Gemv], 1);
+        let exec = crate::campaign::AnyExecutor::from_env();
+        let rows = run(&ctx, &NapelConfig::untuned(), &ModelIo::none(), &exec).unwrap();
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0].doe_configs, 11); // atax
         assert_eq!(rows[1].doe_configs, 19); // gemv

@@ -21,17 +21,17 @@
 //!   feature-schema mismatch).
 //! - [`FaultInjector`] — a seeded, deterministic test/bench hook that
 //!   injects panics and NaN labels at chosen job indices, used to prove
-//!   the quarantine/retry/checkpoint machinery without ever making the
+//!   the quarantine/checkpoint machinery without ever making the
 //!   production path probabilistic.
 //!
 //! Determinism under faults: whether a given job fails is a pure function
-//! of its index and attempt number (real faults are deterministic replays
-//! of the same pure job; injected faults are keyed by index), so the
-//! surviving row set and the quarantine report are identical across
-//! executors and worker counts — the same guarantee the fault-free
-//! engine makes.
+//! of the job (real faults are deterministic replays of the same pure
+//! job; injected faults are keyed by index), so the surviving row set and
+//! the quarantine report are identical across executors and worker
+//! counts — the same guarantee the fault-free engine makes. For the same
+//! reason a failed job is never retried: it would fail again.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::error::Error;
 use std::fmt;
 use std::path::PathBuf;
@@ -83,13 +83,9 @@ impl FaultPolicy {
 
 /// A deterministic exponential backoff schedule with a cap: attempt `n`
 /// waits `base · 2ⁿ`, saturating at `cap`. No jitter — the same attempt
-/// number always yields the same delay, which keeps retried campaigns and
-/// supervised server restarts replayable (the same determinism contract
+/// number always yields the same delay, which keeps `napel-serve`'s
+/// supervised worker restarts replayable (the same determinism contract
 /// as the rest of this module).
-///
-/// Shared by the two retry paths in the workspace: the campaign's
-/// panicking-job retries (its [`Default`] schedule) and `napel-serve`'s
-/// worker-restart supervision (its own values).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Backoff {
     /// Delay before the first retry (attempt 0).
@@ -119,29 +115,12 @@ impl Backoff {
     }
 }
 
-impl Default for Backoff {
-    /// 25 ms doubling to a 2 s cap: long enough to ride out a transient
-    /// (file-system hiccup, memory pressure), short enough that a
-    /// single-retry campaign job costs milliseconds.
-    fn default() -> Backoff {
-        Backoff::new(Duration::from_millis(25), Duration::from_secs(2))
-    }
-}
-
-/// Options governing a supervised campaign run: fault policy, retry
-/// budget, checkpointing, and (for tests and benches) fault injection.
+/// Options governing a supervised campaign run: fault policy,
+/// checkpointing, and (for tests and benches) fault injection.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CampaignOptions {
     /// What a job failure does to the batch.
     pub policy: FaultPolicy,
-    /// Extra attempts granted to a *panicking* job before it is declared
-    /// failed (0 = one attempt, no retry). Retries are deterministic:
-    /// attempt numbers are part of the job's identity, so a retried
-    /// campaign is replayable. Each retry first waits out the
-    /// [`Backoff::default`] schedule's delay. Invalid labels are never
-    /// retried — a deterministic simulator returns the same bad label
-    /// every time.
-    pub retries: u32,
     /// Append-only checkpoint journal path. When set, every completed
     /// job's row is journaled, and jobs whose descriptor hash is already
     /// present are restored without recomputation — which is what lets a
@@ -156,13 +135,13 @@ impl CampaignOptions {
     /// Options from the environment:
     ///
     /// - `NAPEL_CHECKPOINT` — journal path (unset/empty → no checkpoint),
-    /// - `NAPEL_FAIL_POLICY` — `fast` (default) or `quarantine`,
-    /// - `NAPEL_RETRIES` — extra attempts for panicking jobs (default 0).
+    /// - `NAPEL_FAIL_POLICY` — `fast` (default) or `quarantine`.
     ///
     /// Unparsable values warn once *per distinct message* (via the
     /// `napel-telemetry` log facade, so `NAPEL_LOG` and `--quiet` apply)
     /// and fall back to the default, mirroring `NAPEL_JOBS` handling — a
-    /// typo must not abort (or silently reconfigure) a long campaign.
+    /// typo must not abort (or silently reconfigure) a long campaign. The
+    /// library itself never calls this: its entry points take options.
     pub fn from_env() -> Self {
         let mut opts = CampaignOptions::default();
         if let Ok(path) = std::env::var("NAPEL_CHECKPOINT") {
@@ -182,16 +161,6 @@ impl CampaignOptions {
                 }
             }
         }
-        if let Ok(spec) = std::env::var("NAPEL_RETRIES") {
-            match spec.trim().parse::<u32>() {
-                Ok(n) => opts.retries = n,
-                Err(_) => {
-                    napel_telemetry::warn_once!(
-                        "napel: NAPEL_RETRIES: unparsable `{spec}` (expected an integer); keeping 0"
-                    );
-                }
-            }
-        }
         opts
     }
 
@@ -206,12 +175,6 @@ impl CampaignOptions {
     /// Replaces the checkpoint journal path.
     pub fn with_checkpoint(mut self, path: impl Into<PathBuf>) -> Self {
         self.checkpoint = Some(path.into());
-        self
-    }
-
-    /// Replaces the retry budget.
-    pub fn with_retries(mut self, retries: u32) -> Self {
-        self.retries = retries;
         self
     }
 
@@ -239,16 +202,13 @@ pub enum JobStatus {
 }
 
 /// The structured per-job record a supervised campaign returns: index,
-/// status, attempt count, and wall-clock duration.
+/// status, and wall-clock duration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobOutcome {
     /// The job's batch index.
     pub index: usize,
     /// How the job ended.
     pub status: JobStatus,
-    /// Attempts consumed (0 for restored/skipped jobs; `1 + retries` at
-    /// most).
-    pub attempts: u32,
     /// Wall-clock seconds spent on this job in this run (0 for
     /// restored/skipped jobs). A measurement, not part of the
     /// determinism guarantee.
@@ -280,8 +240,7 @@ impl fmt::Display for JobFailureKind {
 impl Error for JobFailureKind {}
 
 /// A failed job with its full provenance: which workload at which DoE
-/// point on which architecture, how many attempts it was given, and why
-/// it failed.
+/// point on which architecture, and why it failed.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobFailure {
     /// The job's batch index.
@@ -292,8 +251,6 @@ pub struct JobFailure {
     pub params: Vec<f64>,
     /// The architecture configuration, rendered for diagnostics.
     pub arch: String,
-    /// Attempts consumed before giving up.
-    pub attempts: u32,
     /// Root cause.
     pub kind: JobFailureKind,
 }
@@ -302,14 +259,8 @@ impl fmt::Display for JobFailure {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "job {} ({} @ {:?} on {}) after {} attempt{}: {}",
-            self.index,
-            self.workload,
-            self.params,
-            self.arch,
-            self.attempts,
-            if self.attempts == 1 { "" } else { "s" },
-            self.kind
+            "job {} ({} @ {:?} on {}): {}",
+            self.index, self.workload, self.params, self.arch, self.kind
         )
     }
 }
@@ -371,16 +322,15 @@ impl CampaignReport {
 /// Deterministic fault injection for tests and benches: panics and NaN
 /// labels at chosen job indices.
 ///
-/// Faults are keyed by job index (and, for panics, attempt number), so an
-/// injected campaign is as deterministic as a clean one — the quarantine
+/// Faults are keyed by job index, so an injected campaign is as
+/// deterministic as a clean one — the quarantine
 /// report and surviving rows are identical across executors. The
 /// production path never constructs one of these; see
 /// [`CampaignOptions::injector`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultInjector {
-    /// job index → number of leading attempts that panic
-    /// (`u32::MAX` = every attempt).
-    panics: BTreeMap<usize, u32>,
+    /// Jobs that panic.
+    panics: BTreeSet<usize>,
     /// Jobs whose IPC label is corrupted to NaN after simulation.
     nan_labels: BTreeSet<usize>,
 }
@@ -401,7 +351,7 @@ impl FaultInjector {
         for index in 0..jobs {
             let roll: f64 = rng.gen_range(0.0..1.0);
             if roll < panic_frac {
-                inj.panics.insert(index, u32::MAX);
+                inj.panics.insert(index);
             } else if roll < panic_frac + nan_frac {
                 inj.nan_labels.insert(index);
             }
@@ -409,16 +359,9 @@ impl FaultInjector {
         inj
     }
 
-    /// Panics every attempt of job `index`.
+    /// Panics job `index`.
     pub fn panic_at(mut self, index: usize) -> Self {
-        self.panics.insert(index, u32::MAX);
-        self
-    }
-
-    /// Panics only the first attempt of job `index` (a transient fault —
-    /// a retry succeeds).
-    pub fn panic_once_at(mut self, index: usize) -> Self {
-        self.panics.insert(index, 1);
+        self.panics.insert(index);
         self
     }
 
@@ -428,18 +371,9 @@ impl FaultInjector {
         self
     }
 
-    /// Indices that panic on at least their first attempt, ascending.
+    /// Indices that panic, ascending.
     pub fn panic_indices(&self) -> Vec<usize> {
-        self.panics.keys().copied().collect()
-    }
-
-    /// Indices whose first attempt panics on *every* retry, ascending.
-    pub fn persistent_panic_indices(&self) -> Vec<usize> {
-        self.panics
-            .iter()
-            .filter(|(_, &n)| n == u32::MAX)
-            .map(|(&i, _)| i)
-            .collect()
+        self.panics.iter().copied().collect()
     }
 
     /// Indices with corrupted labels, ascending.
@@ -449,18 +383,13 @@ impl FaultInjector {
 
     /// All faulty indices (panic or label), ascending.
     pub fn faulty_indices(&self) -> Vec<usize> {
-        let mut all: BTreeSet<usize> = self.panics.keys().copied().collect();
-        all.extend(self.nan_labels.iter().copied());
-        all.into_iter().collect()
+        self.panics.union(&self.nan_labels).copied().collect()
     }
 
-    /// Trips an injected panic, if one is registered for this index and
-    /// attempt.
-    pub(crate) fn maybe_panic(&self, index: usize, attempt: u32) {
-        if let Some(&n) = self.panics.get(&index) {
-            if attempt < n {
-                panic!("injected panic at job {index} (attempt {attempt})");
-            }
+    /// Trips an injected panic, if one is registered for this index.
+    pub(crate) fn maybe_panic(&self, index: usize) {
+        if self.panics.contains(&index) {
+            panic!("injected panic at job {index}");
         }
     }
 
@@ -523,15 +452,13 @@ mod tests {
     }
 
     #[test]
-    fn injected_panics_respect_attempt_budget() {
-        let inj = FaultInjector::new().panic_once_at(3).panic_at(5);
-        // Job 3: first attempt trips, second is clean.
-        assert!(std::panic::catch_unwind(|| inj.maybe_panic(3, 0)).is_err());
-        inj.maybe_panic(3, 1);
-        // Job 5: every attempt trips.
-        assert!(std::panic::catch_unwind(|| inj.maybe_panic(5, 7)).is_err());
-        // Unregistered jobs never trip.
-        inj.maybe_panic(0, 0);
+    fn injected_faults_trip_only_their_jobs() {
+        let inj = FaultInjector::new().panic_at(5).nan_label_at(3);
+        assert!(std::panic::catch_unwind(|| inj.maybe_panic(5)).is_err());
+        // Unregistered jobs (and label-only faults) never trip.
+        inj.maybe_panic(0);
+        inj.maybe_panic(3);
+        assert_eq!(inj.panic_indices(), vec![5]);
         assert_eq!(inj.faulty_indices(), vec![3, 5]);
     }
 
@@ -542,19 +469,16 @@ mod tests {
                 JobOutcome {
                     index: 0,
                     status: JobStatus::Completed,
-                    attempts: 1,
                     seconds: 0.1,
                 },
                 JobOutcome {
                     index: 1,
                     status: JobStatus::Restored,
-                    attempts: 0,
                     seconds: 0.0,
                 },
                 JobOutcome {
                     index: 2,
                     status: JobStatus::Failed(JobFailureKind::Panic("x".into())),
-                    attempts: 1,
                     seconds: 0.2,
                 },
             ],
@@ -563,7 +487,6 @@ mod tests {
                 workload: "atax".into(),
                 params: vec![],
                 arch: String::new(),
-                attempts: 1,
                 kind: JobFailureKind::Panic("x".into()),
             }],
             restored: 1,

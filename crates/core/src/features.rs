@@ -110,23 +110,6 @@ pub struct LabeledRun {
 }
 
 impl LabeledRun {
-    /// Builds a labeled run from a simulation report.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a profile/schema mismatch; see
-    /// [`Self::from_report_checked`].
-    pub fn from_report(
-        workload: Workload,
-        params: Vec<f64>,
-        profile: &ApplicationProfile,
-        arch: &ArchConfig,
-        report: &SimReport,
-    ) -> Self {
-        Self::from_report_checked(workload, params, profile, arch, report)
-            .expect("profile matches the PISA feature schema")
-    }
-
     /// Builds a labeled run from a simulation report, propagating a
     /// feature-schema mismatch instead of panicking.
     ///
@@ -344,7 +327,8 @@ mod tests {
         let profile = ApplicationProfile::of(&t);
         let arch = ArchConfig::paper_default();
         let report = NmcSystem::new(arch.clone()).run(&t);
-        LabeledRun::from_report(w, vec![1.0], &profile, &arch, &report)
+        LabeledRun::from_report_checked(w, vec![1.0], &profile, &arch, &report)
+            .expect("profile matches the PISA feature schema")
     }
 
     #[test]

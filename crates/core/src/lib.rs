@@ -23,13 +23,21 @@
 //!
 //! Simulation batches — phase-② collection and the leave-one-out folds
 //! built on it — run through the [`campaign`] engine, which can spread
-//! jobs across scoped worker threads (`NAPEL_JOBS=auto` or a count)
-//! while keeping the output bit-identical to a serial run. The engine is
-//! a supervised, fault-tolerant runtime: job panics and invalid labels
-//! are caught with full provenance, optionally quarantined instead of
-//! aborting the campaign ([`fault`]), and an append-only checkpoint
-//! journal ([`checkpoint`], `NAPEL_CHECKPOINT`) lets a killed campaign
-//! resume, recomputing only unfinished jobs.
+//! jobs across scoped worker threads while keeping the output
+//! bit-identical to a serial run. The engine is a supervised,
+//! fault-tolerant runtime: job panics and invalid labels are caught with
+//! full provenance, optionally quarantined instead of aborting the
+//! campaign ([`fault`]), and an append-only checkpoint journal
+//! ([`checkpoint`]) lets a killed campaign resume, recomputing only
+//! unfinished jobs.
+//!
+//! Each operation has one entry point, and it takes its executor (and,
+//! for a campaign, its [`fault::CampaignOptions`]) as arguments; an
+//! operation that trains also takes its [`ModelIo`]. No entry point reads
+//! the environment: the `napel-bench` drivers turn their flags and the
+//! `NAPEL_*` variables into these arguments (through
+//! [`campaign::AnyExecutor::from_env`] and
+//! [`fault::CampaignOptions::from_env`]).
 //!
 //! Trained models persist across processes: [`TrainedNapel`] saves to a
 //! versioned, schema-checked `.napel` artifact bundle ([`artifact`]) and
@@ -40,7 +48,9 @@
 //! # Example
 //!
 //! ```no_run
+//! use napel_core::campaign::Serial;
 //! use napel_core::collect::{collect, CollectionPlan};
+//! use napel_core::fault::CampaignOptions;
 //! use napel_core::model::{Napel, NapelConfig};
 //! use napel_pisa::ApplicationProfile;
 //! use napel_workloads::{Scale, Workload};
@@ -51,7 +61,7 @@
 //!     workloads: Workload::ALL.iter().copied().filter(|w| *w != Workload::Atax).collect(),
 //!     ..CollectionPlan::default()
 //! };
-//! let set = collect(&plan);
+//! let (set, _report) = collect(&plan, &Serial, &CampaignOptions::default())?;
 //! let trained = Napel::new(NapelConfig::default()).train(&set)?;
 //!
 //! // ...and predict the twelfth, never seen during training.

@@ -470,15 +470,20 @@ impl Prediction {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::AnyExecutor;
     use crate::collect::{collect, CollectionPlan};
+    use crate::fault::CampaignOptions;
     use napel_workloads::{Scale, Workload};
 
     fn tiny_set() -> TrainingSet {
-        collect(&CollectionPlan {
+        let plan = CollectionPlan {
             workloads: vec![Workload::Atax, Workload::Gemv],
             scale: Scale::tiny(),
             ..Default::default()
-        })
+        };
+        collect(&plan, &AnyExecutor::from_env(), &CampaignOptions::default())
+            .expect("clean campaign")
+            .0
     }
 
     #[test]

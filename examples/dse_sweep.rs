@@ -6,7 +6,9 @@
 //!
 //! Run with `cargo run --release --example dse_sweep`.
 
+use napel::core::campaign::AnyExecutor;
 use napel::core::collect::{arch_neighborhood, collect, CollectionPlan};
+use napel::core::fault::CampaignOptions;
 use napel::core::model::{Napel, NapelConfig};
 use napel::pisa::ApplicationProfile;
 use napel::sim::{ArchConfig, NmcSystem, RowPolicy};
@@ -22,7 +24,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         arch_configs: arch_neighborhood(),
         scale,
     };
-    let trained = Napel::new(NapelConfig::untuned()).train(&collect(&plan))?;
+    let (set, _) = collect(&plan, &AnyExecutor::from_env(), &CampaignOptions::default())?;
+    let trained = Napel::new(NapelConfig::untuned()).train(&set)?;
 
     println!("profiling {target} once...");
     let trace = target.generate(&target.spec().central_values(), scale);

@@ -7,7 +7,10 @@
 //! Run with `cargo run --release --example nmc_suitability`.
 
 use napel::core::analysis::nmc_suitability;
+use napel::core::artifact::ModelIo;
+use napel::core::campaign::AnyExecutor;
 use napel::core::collect::{collect, CollectionPlan};
+use napel::core::fault::CampaignOptions;
 use napel::core::model::NapelConfig;
 use napel::sim::ArchConfig;
 use napel::workloads::{Scale, Workload};
@@ -27,11 +30,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "collecting training data for {} applications...",
         apps.len()
     );
-    let set = collect(&CollectionPlan {
+    let exec = AnyExecutor::from_env();
+    let plan = CollectionPlan {
         workloads: apps,
         scale,
         ..Default::default()
-    });
+    };
+    let (set, _) = collect(&plan, &exec, &CampaignOptions::default())?;
 
     println!("running the leave-one-out suitability analysis...\n");
     let rows = nmc_suitability(
@@ -39,6 +44,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &NapelConfig::untuned(),
         &ArchConfig::paper_default(),
         scale,
+        &ModelIo::none(),
+        "suitability",
+        &exec,
     )?;
 
     println!(

@@ -3,7 +3,9 @@
 //!
 //! Run with `cargo run --release --example quickstart`.
 
+use napel::core::campaign::AnyExecutor;
 use napel::core::collect::{collect, CollectionPlan};
+use napel::core::fault::CampaignOptions;
 use napel::core::model::{Napel, NapelConfig, TrainedNapel};
 use napel::pisa::ApplicationProfile;
 use napel::sim::{ArchConfig, NmcSystem};
@@ -30,7 +32,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         scale,
         ..Default::default()
     };
-    let set = collect(&plan);
+    let (set, _) = collect(&plan, &AnyExecutor::from_env(), &CampaignOptions::default())?;
     println!(
         "   {} labeled runs ({:.2}s simulation, {:.2}s analysis)",
         set.runs.len(),

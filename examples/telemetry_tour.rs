@@ -5,7 +5,8 @@
 //! Run with `cargo run --release --example telemetry_tour`.
 
 use napel::core::campaign::Serial;
-use napel::core::collect::{collect_with, CollectionPlan};
+use napel::core::collect::{collect, CollectionPlan};
+use napel::core::fault::CampaignOptions;
 use napel::telemetry::Telemetry;
 use napel::workloads::{Scale, Workload};
 
@@ -21,7 +22,7 @@ fn main() {
         scale: Scale::tiny(),
         ..Default::default()
     };
-    let set = collect_with(&plan, &Serial);
+    let (set, _) = collect(&plan, &Serial, &CampaignOptions::default()).expect("clean campaign");
     println!("   {} labeled runs collected\n", set.runs.len());
 
     // Drain atomically takes everything recorded so far and resets the

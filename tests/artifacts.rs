@@ -7,9 +7,10 @@ use std::path::{Path, PathBuf};
 use napel::core::artifact::{
     read_artifacts, write_artifacts, ModelArtifact, ModelIo, Provenance, TargetKind,
 };
-use napel::core::campaign::Serial;
-use napel::core::collect::{collect, CollectionPlan};
+use napel::core::campaign::{AnyExecutor, Serial};
+use napel::core::collect::CollectionPlan;
 use napel::core::experiments::{fig4, fig5, Context};
+use napel::core::fault::CampaignOptions;
 use napel::core::features::TrainingSet;
 use napel::core::model::{Napel, NapelConfig, TrainedNapel};
 use napel::core::NapelError;
@@ -33,12 +34,25 @@ fn scratch_dir(name: &str) -> PathBuf {
     dir
 }
 
-fn tiny_set() -> TrainingSet {
-    collect(&CollectionPlan {
+fn tiny_plan() -> CollectionPlan {
+    CollectionPlan {
         workloads: vec![Workload::Atax, Workload::Gemv],
         scale: Scale::tiny(),
         ..Default::default()
-    })
+    }
+}
+
+fn tiny_set() -> TrainingSet {
+    tiny_context(0).training
+}
+
+/// The atax + gemv context on one architecture, collected on the
+/// `NAPEL_JOBS` executor.
+fn tiny_context(seed: u64) -> Context {
+    let opts = CampaignOptions::default();
+    Context::build(&tiny_plan(), seed, &AnyExecutor::from_env(), &opts)
+        .expect("clean campaign")
+        .0
 }
 
 /// A small-but-real ensemble configuration so the four-member fits stay
@@ -304,16 +318,16 @@ fn fig5_through_artifacts_reproduces_direct_mres_exactly() {
     // The acceptance bar: a fig5-style evaluation run from loaded
     // artifacts reproduces the direct path's MREs exactly (same seed) —
     // across all three estimator families of the comparison.
-    let ctx = Context::build_subset(vec![Workload::Atax, Workload::Gemv], Scale::tiny(), 3);
-    let direct = fig5::run_with(&ctx, &Serial).expect("direct");
+    let ctx = tiny_context(3);
+    let direct = fig5::run(&ctx, &ModelIo::none(), &Serial).expect("direct");
 
     let dir = scratch_dir("fig5");
-    let saved = fig5::run_with_io(&ctx, &ModelIo::new(Some(dir.clone()), None), &Serial)
-        .expect("save pass");
+    let saved =
+        fig5::run(&ctx, &ModelIo::new(Some(dir.clone()), None), &Serial).expect("save pass");
     assert_eq!(direct, saved, "saving must not perturb the evaluation");
 
-    let loaded = fig5::run_with_io(&ctx, &ModelIo::new(None, Some(dir.clone())), &Serial)
-        .expect("load pass");
+    let loaded =
+        fig5::run(&ctx, &ModelIo::new(None, Some(dir.clone())), &Serial).expect("load pass");
     assert_eq!(
         direct, loaded,
         "artifact-loaded evaluation must reproduce every MRE exactly"
@@ -323,11 +337,11 @@ fn fig5_through_artifacts_reproduces_direct_mres_exactly() {
 
 #[test]
 fn fig4_saves_per_workload_bundles_the_load_path_consumes() {
-    let ctx = Context::build_subset(vec![Workload::Atax, Workload::Gemv], Scale::tiny(), 2);
+    let ctx = tiny_context(2);
     let config = NapelConfig::untuned();
     let dir = scratch_dir("fig4");
 
-    let saved_rows = fig4::run_with_io(
+    let saved_rows = fig4::run(
         &ctx,
         &config,
         4,
@@ -344,7 +358,7 @@ fn fig4_saves_per_workload_bundles_the_load_path_consumes() {
 
     // The load pass consumes the bundles (no training); timings are
     // wall-clock so only the structure is compared.
-    let loaded_rows = fig4::run_with_io(
+    let loaded_rows = fig4::run(
         &ctx,
         &config,
         4,

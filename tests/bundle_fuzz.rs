@@ -10,7 +10,9 @@ use std::sync::OnceLock;
 
 use proptest::prelude::*;
 
+use napel::core::campaign::AnyExecutor;
 use napel::core::collect::{collect, CollectionPlan};
+use napel::core::fault::CampaignOptions;
 use napel::core::model::{Napel, NapelConfig, TrainedNapel};
 use napel::core::NapelError;
 use napel::workloads::{Scale, Workload};
@@ -20,11 +22,13 @@ use napel::workloads::{Scale, Workload};
 fn bundle_text() -> &'static str {
     static TEXT: OnceLock<String> = OnceLock::new();
     TEXT.get_or_init(|| {
-        let set = collect(&CollectionPlan {
+        let plan = CollectionPlan {
             workloads: vec![Workload::Atax, Workload::Gemv],
             scale: Scale::tiny(),
             ..Default::default()
-        });
+        };
+        let (set, _) = collect(&plan, &AnyExecutor::from_env(), &CampaignOptions::default())
+            .expect("clean campaign");
         let trained = Napel::new(NapelConfig::untuned())
             .train(&set)
             .expect("train");

@@ -4,12 +4,27 @@
 //! its structural invariants). Quantitative shapes are checked at laptop
 //! scale by the `napel-bench` binaries and recorded in `EXPERIMENTS.md`.
 
+use napel::core::artifact::ModelIo;
+use napel::core::campaign::AnyExecutor;
+use napel::core::collect::CollectionPlan;
 use napel::core::experiments::{ablation, fig4, fig5, fig6, fig7, table2, table3, table4, Context};
+use napel::core::fault::CampaignOptions;
 use napel::core::model::NapelConfig;
 use napel::workloads::{Scale, Workload};
 
+fn exec() -> AnyExecutor {
+    AnyExecutor::from_env()
+}
+
 fn ctx(workloads: Vec<Workload>) -> Context {
-    Context::build_subset(workloads, Scale::tiny(), 0xDAC)
+    let plan = CollectionPlan {
+        workloads,
+        scale: Scale::tiny(),
+        ..Default::default()
+    };
+    Context::build(&plan, 0xDAC, &exec(), &CampaignOptions::default())
+        .expect("clean campaign")
+        .0
 }
 
 #[test]
@@ -60,7 +75,7 @@ fn table4_counts_match_paper_for_all_apps() {
 #[test]
 fn table4_timings_run_at_tiny_scale() {
     let c = ctx(vec![Workload::Atax, Workload::Mvt]);
-    let rows = table4::run(&c, &NapelConfig::untuned()).expect("table4");
+    let rows = table4::run(&c, &NapelConfig::untuned(), &ModelIo::none(), &exec()).expect("table4");
     assert_eq!(rows.len(), 2);
     for r in &rows {
         assert!(r.doe_run_seconds > 0.0 && r.pred_seconds > 0.0);
@@ -82,7 +97,7 @@ fn table4_timings_run_at_tiny_scale() {
 #[test]
 fn fig4_speedup_structure() {
     let c = ctx(vec![Workload::Atax, Workload::Gemv]);
-    let rows = fig4::run(&c, &NapelConfig::untuned(), 24).expect("fig4");
+    let rows = fig4::run(&c, &NapelConfig::untuned(), 24, &ModelIo::none(), &exec()).expect("fig4");
     assert_eq!(rows.len(), 2);
     for r in &rows {
         assert_eq!(r.num_configs, 24);
@@ -102,7 +117,7 @@ fn fig5_napel_competitive_with_baselines() {
         Workload::Mvt,
         Workload::Syrk,
     ]);
-    let result = fig5::run(&c).expect("fig5");
+    let result = fig5::run(&c, &ModelIo::none(), &exec()).expect("fig5");
     assert_eq!(result.rows.len(), 4);
     let [napel_avg, ann_avg, dt_avg] = result.averages;
     // The full shape (NAPEL clearly best) is a laptop-scale claim; at tiny
@@ -130,7 +145,7 @@ fn fig6_host_numbers_positive_for_all_apps() {
 #[test]
 fn fig7_rows_and_aggregates() {
     let c = ctx(vec![Workload::Gemv, Workload::Mvt, Workload::Syrk]);
-    let result = fig7::run(&c, &NapelConfig::untuned()).expect("fig7");
+    let result = fig7::run(&c, &NapelConfig::untuned(), &ModelIo::none(), &exec()).expect("fig7");
     assert_eq!(result.rows.len(), 3);
     assert!(result.average_edp_mre().is_finite());
     assert!(result.agreements() <= 3);
@@ -209,10 +224,13 @@ fn fig7_pinned_laptop_scale_suitability_agreement() {
 #[test]
 fn ablation_samplers_and_sweep_run() {
     let apps = [Workload::Atax, Workload::Mvt];
-    let samplers = ablation::sampler_ablation(&apps, Scale::tiny(), 3).expect("samplers");
+    let none = ModelIo::none();
+    let samplers =
+        ablation::sampler_ablation(&apps, Scale::tiny(), 3, &none, &exec()).expect("samplers");
     assert_eq!(samplers.rows.len(), ablation::Sampler::ALL.len());
-    let set = ablation::collect_with_sampler(&apps, ablation::Sampler::Ccd, Scale::tiny(), 3)
+    let ccd = ablation::Sampler::Ccd;
+    let set = ablation::collect_with_sampler(&apps, ccd, Scale::tiny(), 3, &exec())
         .expect("CCD collection");
-    let sweep = ablation::forest_size_sweep(&set, &[10, 40], 3).expect("sweep");
+    let sweep = ablation::forest_size_sweep(&set, &[10, 40], 3, &none, &exec()).expect("sweep");
     assert_eq!(sweep.points.len(), 2);
 }

@@ -7,7 +7,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use napel::core::campaign::{plan_jobs, Serial, Threaded};
-use napel::core::collect::{collect_supervised, collect_with, CollectionPlan};
+use napel::core::collect::{collect, CollectionPlan};
 use napel::core::fault::{CampaignOptions, FaultInjector, JobFailureKind};
 use napel::core::NapelError;
 use napel::workloads::{Scale, Workload};
@@ -35,7 +35,7 @@ fn journal_path(tag: &str) -> PathBuf {
 fn seeded_faults_are_itemized_and_survivors_are_untouched() {
     let plan = tiny_plan();
     let jobs = plan_jobs(&plan).len();
-    let clean = collect_with(&plan, &Serial);
+    let (clean, _) = collect(&plan, &Serial, &CampaignOptions::default()).unwrap();
     assert_eq!(clean.runs.len(), jobs);
 
     // Seeded injector over the whole batch; must actually hit something
@@ -50,8 +50,8 @@ fn seeded_faults_are_itemized_and_survivors_are_untouched() {
     for (name, threaded) in [("serial", None), ("threaded", Some(Threaded::new(4)))] {
         let opts = CampaignOptions::quarantine().with_injector(injector.clone());
         let (set, report) = match &threaded {
-            None => collect_supervised(&plan, &Serial, &opts).unwrap(),
-            Some(exec) => collect_supervised(&plan, exec, &opts).unwrap(),
+            None => collect(&plan, &Serial, &opts).unwrap(),
+            Some(exec) => collect(&plan, exec, &opts).unwrap(),
         };
 
         // Exactly the injected indices are quarantined, in order.
@@ -102,7 +102,7 @@ fn interrupted_campaign_resumes_recomputing_only_the_tail() {
     };
     let jobs = plan_jobs(&plan).len();
     assert_eq!(jobs, 9);
-    let clean = collect_with(&plan, &Serial);
+    let (clean, _) = collect(&plan, &Serial, &CampaignOptions::default()).unwrap();
 
     let path = journal_path("resume");
     let interrupt_at = 5;
@@ -112,7 +112,7 @@ fn interrupted_campaign_resumes_recomputing_only_the_tail() {
     let opts = CampaignOptions::default()
         .with_checkpoint(&path)
         .with_injector(FaultInjector::new().panic_at(interrupt_at));
-    let err = collect_supervised(&plan, &Serial, &opts).unwrap_err();
+    let err = collect(&plan, &Serial, &opts).unwrap_err();
     match &err {
         NapelError::Job(failure) => {
             assert_eq!(failure.index, interrupt_at);
@@ -126,14 +126,14 @@ fn interrupted_campaign_resumes_recomputing_only_the_tail() {
     // Phase 2: resume without the fault. Only the N-K unfinished jobs are
     // recomputed; the K journaled ones are restored verbatim.
     let opts = CampaignOptions::default().with_checkpoint(&path);
-    let (set, report) = collect_supervised(&plan, &Serial, &opts).unwrap();
+    let (set, report) = collect(&plan, &Serial, &opts).unwrap();
     assert_eq!(report.restored, interrupt_at);
     assert_eq!(report.executed(), jobs - interrupt_at);
     assert!(report.is_clean());
     assert_eq!(set.runs, clean.runs, "resume must be invisible in the data");
 
     // Phase 3: a second resume restores everything and recomputes nothing.
-    let (set, report) = collect_supervised(&plan, &Serial, &opts).unwrap();
+    let (set, report) = collect(&plan, &Serial, &opts).unwrap();
     assert_eq!(report.restored, jobs);
     assert_eq!(report.executed(), 0);
     assert_eq!(set.runs, clean.runs);
@@ -151,15 +151,15 @@ fn checkpointed_threaded_run_restores_under_serial_and_vice_versa() {
         scale: Scale::tiny(),
         ..Default::default()
     };
-    let clean = collect_with(&plan, &Serial);
+    let (clean, _) = collect(&plan, &Serial, &CampaignOptions::default()).unwrap();
     let path = journal_path("xexec");
 
     let opts = CampaignOptions::default().with_checkpoint(&path);
-    let (first, report) = collect_supervised(&plan, &Threaded::new(3), &opts).unwrap();
+    let (first, report) = collect(&plan, &Threaded::new(3), &opts).unwrap();
     assert_eq!(report.restored, 0);
     assert_eq!(first.runs, clean.runs);
 
-    let (second, report) = collect_supervised(&plan, &Serial, &opts).unwrap();
+    let (second, report) = collect(&plan, &Serial, &opts).unwrap();
     assert_eq!(report.restored, clean.runs.len());
     assert_eq!(report.executed(), 0);
     assert_eq!(second.runs, clean.runs);

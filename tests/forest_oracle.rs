@@ -14,7 +14,7 @@ use std::path::{Path, PathBuf};
 
 use napel::core::artifact::{read_artifacts, ModelIo};
 use napel::core::campaign::{run_supervised, Serial, SimJob};
-use napel::core::collect::{arch_neighborhood, doe_points};
+use napel::core::collect::{arch_neighborhood, doe_points, evaluation_plan};
 use napel::core::experiments::{fig4, Context};
 use napel::core::fault::CampaignOptions;
 use napel::core::features::{combined_feature_names, combined_features, TrainingSet};
@@ -166,14 +166,15 @@ fn every_fig4_tiny_bundle_matches_the_frozen_forest() {
     // `fig4 --quick --scale tiny --configs 4 --model-out DIR` at the
     // default seed.
     let seed = 25019;
-    let ctx = Context::build_with(Scale::tiny(), seed, &Serial);
+    let plan = evaluation_plan(Workload::ALL.to_vec(), Scale::tiny());
+    let (ctx, _) = Context::build(&plan, seed, &Serial, &CampaignOptions::default()).unwrap();
     let dir = scratch_dir("fig4");
     let config = NapelConfig {
         seed,
         ..NapelConfig::untuned()
     };
     let io = ModelIo::new(Some(dir.clone()), None);
-    fig4::run_with_io(&ctx, &config, 4, &io, &Serial).unwrap();
+    fig4::run(&ctx, &config, 4, &io, &Serial).unwrap();
     let rows: Vec<Vec<f64>> = ctx
         .training
         .runs

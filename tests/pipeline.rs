@@ -1,12 +1,21 @@
 //! End-to-end integration tests for the NAPEL pipeline: collection →
 //! training → prediction of unseen applications, across crates.
 
+use napel::core::campaign::AnyExecutor;
 use napel::core::collect::{arch_neighborhood, collect, CollectionPlan};
-use napel::core::features::combined_feature_names;
+use napel::core::fault::CampaignOptions;
+use napel::core::features::{combined_feature_names, TrainingSet};
 use napel::core::model::{Napel, NapelConfig};
 use napel::pisa::ApplicationProfile;
 use napel::sim::{ArchConfig, NmcSystem};
 use napel::workloads::{Scale, Workload};
+
+/// The plan's training set, collected on the `NAPEL_JOBS` executor.
+fn collect_clean(plan: &CollectionPlan) -> TrainingSet {
+    collect(plan, &AnyExecutor::from_env(), &CampaignOptions::default())
+        .expect("clean campaign")
+        .0
+}
 
 fn tiny_plan(workloads: Vec<Workload>) -> CollectionPlan {
     CollectionPlan {
@@ -22,7 +31,7 @@ fn held_out_configuration_prediction_is_accurate() {
     // *off-DoE* configuration of one of them (interpolation within known
     // applications — the easy case that must work well).
     let plan = tiny_plan(vec![Workload::Atax, Workload::Gemv, Workload::Mvt]);
-    let set = collect(&plan);
+    let set = collect_clean(&plan);
     let trained = Napel::new(NapelConfig::untuned())
         .train(&set)
         .expect("train");
@@ -59,7 +68,7 @@ fn unseen_application_prediction_lands_in_the_right_decade() {
         Workload::Bfs,
         Workload::Kme,
     ]);
-    let set = collect(&plan);
+    let set = collect_clean(&plan);
     let trained = Napel::new(NapelConfig::untuned())
         .train(&set)
         .expect("train");
@@ -83,7 +92,7 @@ fn unseen_application_prediction_lands_in_the_right_decade() {
 #[test]
 fn pipeline_is_deterministic_end_to_end() {
     let plan = tiny_plan(vec![Workload::Atax, Workload::Mvt]);
-    let (a, b) = (collect(&plan), collect(&plan));
+    let (a, b) = (collect_clean(&plan), collect_clean(&plan));
     assert_eq!(a.runs.len(), b.runs.len());
     for (ra, rb) in a.runs.iter().zip(&b.runs) {
         assert_eq!(ra.features, rb.features, "collection must be deterministic");
@@ -117,7 +126,7 @@ fn feature_vector_layout_is_consistent_across_crates() {
 
     // A collected row carries exactly that many features.
     let plan = tiny_plan(vec![Workload::Atax]);
-    let collected = collect(&plan);
+    let collected = collect_clean(&plan);
     assert_eq!(collected.runs[0].features.len(), names.len());
 }
 
@@ -128,7 +137,7 @@ fn architecture_variation_shows_up_in_labels() {
         arch_configs: arch_neighborhood(),
         scale: Scale::tiny(),
     };
-    let set = collect(&plan);
+    let set = collect_clean(&plan);
     // For a fixed input configuration, different architectures must
     // produce different IPC labels (otherwise DSE would be vacuous).
     let first_point: Vec<&napel::core::features::LabeledRun> =
@@ -143,7 +152,7 @@ fn predicted_time_formula_matches_simulator_units() {
     // For a *training* configuration the predicted execution time should be
     // within a small factor of the simulated one (in-sample sanity).
     let plan = tiny_plan(vec![Workload::Syrk, Workload::Trmm]);
-    let set = collect(&plan);
+    let set = collect_clean(&plan);
     let trained = Napel::new(NapelConfig::untuned())
         .train(&set)
         .expect("train");

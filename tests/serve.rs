@@ -13,7 +13,9 @@ use std::path::PathBuf;
 use std::sync::OnceLock;
 use std::time::Duration;
 
+use napel::core::campaign::AnyExecutor;
 use napel::core::collect::{collect, CollectionPlan};
+use napel::core::fault::CampaignOptions;
 use napel::core::model::{Napel, NapelConfig};
 use napel::serve::protocol::payload_field;
 use napel::serve::stats::ServeStats;
@@ -27,11 +29,13 @@ const TIMEOUT: Duration = Duration::from_secs(10);
 fn model_dir() -> &'static (PathBuf, usize) {
     static DIR: OnceLock<(PathBuf, usize)> = OnceLock::new();
     DIR.get_or_init(|| {
-        let set = collect(&CollectionPlan {
+        let plan = CollectionPlan {
             workloads: vec![Workload::Atax, Workload::Gemv],
             scale: Scale::tiny(),
             ..Default::default()
-        });
+        };
+        let (set, _) = collect(&plan, &AnyExecutor::from_env(), &CampaignOptions::default())
+            .expect("clean campaign");
         let trained = Napel::new(NapelConfig::untuned())
             .train(&set)
             .expect("train");

@@ -30,8 +30,9 @@
 //!   class equals that system's own run bit for bit, and every field the
 //!   engine reads separates classes.
 
-use napel::core::campaign::{plan_jobs, run_jobs, Serial, SimJob, Threaded};
+use napel::core::campaign::{plan_jobs, run_supervised, Serial, SimJob, Threaded};
 use napel::core::collect::{arch_neighborhood, CollectionPlan};
+use napel::core::fault::CampaignOptions;
 use napel::core::features::LabeledRun;
 use napel::ir::{Emitter, EncodedTrace, MultiTrace};
 use napel::pisa::ProfileObserver;
@@ -353,8 +354,9 @@ fn reference_row(job: &SimJob) -> LabeledRun {
 /// Runs `jobs` through the campaign on Serial and Threaded executors and
 /// checks every row against a reference-engine run of its own job.
 fn assert_campaign_matches_reference(jobs: &[SimJob]) {
-    let (serial, _) = run_jobs(&Serial, jobs);
-    let (threaded, _) = run_jobs(&Threaded::new(4), jobs);
+    let opts = CampaignOptions::default();
+    let (serial, _) = run_supervised(&Serial, jobs, &opts).unwrap();
+    let (threaded, _) = run_supervised(&Threaded::new(4), jobs, &opts).unwrap();
     assert_eq!(
         serial, threaded,
         "Serial and Threaded must agree row for row"

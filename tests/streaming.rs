@@ -23,7 +23,8 @@
 //!    instruction streams.
 
 use napel::core::campaign::{plan_jobs, Serial, Threaded};
-use napel::core::collect::{collect_with, CollectionPlan};
+use napel::core::collect::{collect, CollectionPlan};
+use napel::core::fault::CampaignOptions;
 use napel::ir::{
     EncodedTrace, EncodedTraceSink, Inst, MultiTrace, Opcode, TeeSink, ThreadedTraceSink,
     TraceSink, NO_ADDR, NO_REG,
@@ -131,8 +132,9 @@ fn campaign_rows_are_identical_across_executors() {
         scale: Scale::tiny(),
         ..Default::default()
     };
-    let serial = collect_with(&plan, &Serial);
-    let threaded = collect_with(&plan, &Threaded::new(4));
+    let opts = CampaignOptions::default();
+    let (serial, _) = collect(&plan, &Serial, &opts).unwrap();
+    let (threaded, _) = collect(&plan, &Threaded::new(4), &opts).unwrap();
     assert_eq!(serial.feature_names, threaded.feature_names);
     assert_eq!(
         serial.runs, threaded.runs,

@@ -24,7 +24,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use napel::core::campaign::{plan_jobs, Executor, Serial, Threaded};
-use napel::core::collect::{arch_neighborhood, collect_supervised, CollectionPlan};
+use napel::core::collect::{arch_neighborhood, collect, CollectionPlan};
 use napel::core::fault::CampaignOptions;
 use napel::core::features::TrainingSet;
 use napel::ml::cv::{cross_val_mre, k_fold};
@@ -62,7 +62,7 @@ fn run_campaign<E: Executor>(
 ) -> (TrainingSet, TelemetryReport, Vec<u8>) {
     let journal = journal_path(tag);
     let opts = CampaignOptions::default().with_checkpoint(&journal);
-    let (set, report) = collect_supervised(plan, exec, &opts).unwrap();
+    let (set, report) = collect(plan, exec, &opts).unwrap();
     assert!(report.is_clean());
     let stream = napel::telemetry::global().drain();
     let bytes = std::fs::read(&journal).unwrap();
