@@ -21,7 +21,7 @@
 //!   so simulating N architecture configurations costs one kernel
 //!   analysis, exactly once, even under concurrency. It also shares one
 //!   simulation among the point's jobs of each
-//!   [`TimingClass`](nmc_sim::TimingClass): the other jobs of the class
+//!   [`TimingClass`]: the other jobs of the class
 //!   [`retarget`](NmcSystem::retarget) its report, bit for bit what their
 //!   own simulation would have produced. A point's compact encoded trace
 //!   is dropped as soon as each of its timing classes has a report.
@@ -32,7 +32,7 @@
 //! - [`run_supervised`] is the fault-tolerant runtime on top: each job
 //!   runs inside `catch_unwind`, its labels pass a validation gate before
 //!   entering the training set, and failures — per the configured
-//!   [`FaultPolicy`](crate::fault::FaultPolicy) — either cancel the batch
+//!   [`FaultPolicy`] — either cancel the batch
 //!   with full provenance (fail-fast) or are quarantined while the rest
 //!   of the campaign completes. With a checkpoint journal attached
 //!   ([`crate::checkpoint`]), completed rows are persisted as they

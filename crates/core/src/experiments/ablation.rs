@@ -45,7 +45,9 @@ use crate::artifact::ModelIo;
 use crate::campaign::{run_supervised, Executor, SimJob};
 use crate::collect::{doe_points, param_space};
 use crate::fault::CampaignOptions;
-use crate::features::{combined_feature_names, combined_features, LabeledRun, TrainingSet};
+use crate::features::{
+    combined_feature_names, combined_features, CollectStats, LabeledRun, TrainingSet,
+};
 use crate::NapelError;
 
 /// Training-point sampling strategies under comparison.
@@ -112,16 +114,18 @@ pub fn collect_with_sampler<E: Executor>(
         };
         designs.push((w, points));
     }
+    let (runs, stats) = simulate(&designs, scale, exec)?;
     Ok(TrainingSet {
         feature_names: combined_feature_names(),
-        runs: simulate(&designs, scale, exec)?,
-        stats: Default::default(),
+        runs,
+        stats,
     })
 }
 
 /// Simulates each workload's design points on the Table 3 architecture
 /// as one campaign on `exec` — default, fail-fast options, so every row
-/// has passed the label gate — returning the rows in design order.
+/// has passed the label gate — returning the rows in design order and the
+/// campaign's timing.
 ///
 /// # Errors
 ///
@@ -130,7 +134,7 @@ fn simulate<E: Executor>(
     designs: &[(Workload, Vec<DesignPoint>)],
     scale: Scale,
     exec: &E,
-) -> Result<Vec<LabeledRun>, NapelError> {
+) -> Result<(Vec<LabeledRun>, CollectStats), NapelError> {
     let arch = ArchConfig::paper_default();
     let mut jobs = Vec::new();
     for (workload, points) in designs {
@@ -144,7 +148,8 @@ fn simulate<E: Executor>(
             });
         }
     }
-    Ok(run_supervised(exec, &jobs, &CampaignOptions::default())?.0)
+    let (runs, report) = run_supervised(exec, &jobs, &CampaignOptions::default())?;
+    Ok((runs, report.stats))
 }
 
 /// Result of the sampler ablation: average (perf, energy) LOAO MRE per
@@ -285,10 +290,11 @@ pub fn collect_ccd_prefix<E: Executor>(
             (w, ccd)
         })
         .collect();
+    let (runs, stats) = simulate(&designs, scale, exec)?;
     Ok(TrainingSet {
         feature_names: combined_feature_names(),
-        runs: simulate(&designs, scale, exec)?,
-        stats: Default::default(),
+        runs,
+        stats,
     })
 }
 
@@ -325,6 +331,7 @@ pub fn collect_active<E: Executor>(
     let mut pick_rng = StdRng::seed_from_u64(seed ^ 0xAC71_4E01);
     let mut fit_rng = StdRng::seed_from_u64(seed ^ 0x5EED_F0E5);
     let mut runs = Vec::new();
+    let mut stats = CollectStats::default();
     for &w in workloads {
         let spec = w.spec();
         let space = param_space(&spec);
@@ -334,7 +341,8 @@ pub fn collect_active<E: Executor>(
         let seed_pts = &ccd[..seed_len];
         // One row per simulated point: the campaign fails fast, so
         // `wruns.len()` is also the count of design points simulated.
-        let mut wruns = simulate(&[(w, seed_pts.to_vec())], scale, exec)?;
+        let (mut wruns, seed_stats) = simulate(&[(w, seed_pts.to_vec())], scale, exec)?;
+        stats.merge(&seed_stats);
         let mut failure = None;
         let design = active_augment(
             &space,
@@ -347,7 +355,10 @@ pub fn collect_active<E: Executor>(
                 // refit the surrogate on everything labeled so far.
                 if failure.is_none() && design.len() > wruns.len() {
                     match simulate(&[(w, design[wruns.len()..].to_vec())], scale, exec) {
-                        Ok(rows) => wruns.extend(rows),
+                        Ok((rows, batch)) => {
+                            wruns.extend(rows);
+                            stats.merge(&batch);
+                        }
                         Err(e) => failure = Some(e),
                     }
                 }
@@ -381,18 +392,16 @@ pub fn collect_active<E: Executor>(
             return Err(e);
         }
         if design.len() > wruns.len() {
-            wruns.extend(simulate(
-                &[(w, design[wruns.len()..].to_vec())],
-                scale,
-                exec,
-            )?);
+            let (rows, batch) = simulate(&[(w, design[wruns.len()..].to_vec())], scale, exec)?;
+            wruns.extend(rows);
+            stats.merge(&batch);
         }
         runs.append(&mut wruns);
     }
     Ok(TrainingSet {
         feature_names: combined_feature_names(),
         runs,
-        stats: Default::default(),
+        stats,
     })
 }
 
@@ -789,6 +798,21 @@ mod tests {
         // Same seed, same campaign.
         let again = collect_active(&apps, 7, ACTIVE_POOL, Scale::tiny(), 9, &exec()).unwrap();
         assert_eq!(active.content_hash(), again.content_hash());
+    }
+
+    #[test]
+    fn collected_sets_carry_their_campaign_timing() {
+        // Every collector simulates through `run_supervised`, which times
+        // the campaign; the set must carry that timing, not zeros.
+        let apps = [Workload::Atax];
+        let sets = [
+            collect_with_sampler(&apps, Sampler::Random, Scale::tiny(), 3, &exec()).unwrap(),
+            collect_ccd_prefix(&apps, 3, Scale::tiny(), &exec()).unwrap(),
+            collect_active(&apps, 5, 4, Scale::tiny(), 3, &exec()).unwrap(),
+        ];
+        for set in &sets {
+            assert!(set.stats.simulate_seconds > 0.0, "{:?}", set.stats);
+        }
     }
 
     #[test]

@@ -21,63 +21,32 @@ pub fn combined_feature_names() -> Vec<String> {
 }
 
 /// Builds the combined feature vector for one (profile, architecture)
-/// pair, checking the profile against the PISA feature schema: every
-/// value is looked up by name ([`ApplicationProfile::try_value`]), so a
-/// schema mismatch — a profile built against a different feature list —
-/// is a [`NapelError::FeatureSchema`], not a panic deep inside a
-/// campaign.
+/// pair, checking the profile against the PISA feature schema. A profile
+/// holds its values in [`napel_pisa::feature_names`] order and those names
+/// are unique, so once the length matches the schema the profile part is
+/// the profile's values as they stand. A profile of another length (built
+/// against a different feature list) is a [`NapelError::FeatureSchema`],
+/// not a panic deep inside a campaign.
 ///
 /// # Errors
 ///
 /// Returns [`NapelError::FeatureSchema`] if the profile's length differs
-/// from the schema or a named feature is missing.
+/// from the schema.
 pub fn combined_features_checked(
     profile: &ApplicationProfile,
     arch: &ArchConfig,
 ) -> Result<Vec<f64>, NapelError> {
-    let mut v = profile_features_by_name(profile, napel_pisa::feature_names())?;
-    v.reserve(ArchConfig::feature_names().len());
-    v.extend(arch.to_features());
-    Ok(v)
-}
-
-/// Extracts `names` from a profile by name-wise lookup, validating the
-/// profile against that schema: the profile must hold exactly as many
-/// values as `names`, and every name must resolve
-/// ([`ApplicationProfile::try_value`]). This is the schema gate both the
-/// campaign runtime and the model-artifact loader go through — an
-/// externally supplied profile built against a different feature list
-/// surfaces [`NapelError::FeatureSchema`] naming the offending feature,
-/// not a panic or a silent misprediction.
-///
-/// # Errors
-///
-/// Returns [`NapelError::FeatureSchema`] on a length mismatch or an
-/// unresolvable name.
-pub fn profile_features_by_name(
-    profile: &ApplicationProfile,
-    names: &[String],
-) -> Result<Vec<f64>, NapelError> {
-    if profile.values().len() != names.len() {
+    let values = profile.values();
+    let schema = napel_pisa::feature_names().len();
+    if values.len() != schema {
         return Err(NapelError::FeatureSchema {
             what: format!(
-                "profile has {} values but the schema names {}",
-                profile.values().len(),
-                names.len()
+                "profile has {} values but the schema names {schema}",
+                values.len()
             ),
         });
     }
-    let mut v = Vec::with_capacity(names.len());
-    for name in names {
-        v.push(
-            profile
-                .try_value(name)
-                .ok_or_else(|| NapelError::FeatureSchema {
-                    what: format!("unknown profile feature `{name}`"),
-                })?,
-        );
-    }
-    Ok(v)
+    Ok([values, arch.to_features().as_slice()].concat())
 }
 
 /// Builds the combined feature vector for one (profile, architecture) pair.
@@ -394,23 +363,6 @@ mod tests {
                     what.contains(&napel_pisa::feature_names().len().to_string()),
                     "{what}"
                 );
-            }
-            other => panic!("expected FeatureSchema, got {other}"),
-        }
-    }
-
-    #[test]
-    fn missing_name_is_a_schema_error_naming_the_feature() {
-        // A schema that asks for a feature PISA does not produce: the
-        // length matches, so the per-name lookup is what must catch it.
-        let n = napel_pisa::feature_names().len();
-        let profile = ApplicationProfile::from_values(vec![0.0; n]);
-        let mut names = napel_pisa::feature_names().to_vec();
-        names[7] = "no.such.feature".to_string();
-        let err = profile_features_by_name(&profile, &names).unwrap_err();
-        match err {
-            NapelError::FeatureSchema { what } => {
-                assert!(what.contains("`no.such.feature`"), "{what}");
             }
             other => panic!("expected FeatureSchema, got {other}"),
         }

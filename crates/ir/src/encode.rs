@@ -30,7 +30,7 @@
 //! [`TeeSink`](crate::TeeSink) that also feeds the PISA observer), and
 //! [`EncodedTrace::thread_iter`] decodes per-thread instruction iterators
 //! for the simulator's pull model without ever materializing a
-//! [`MultiTrace`](crate::MultiTrace).
+//! [`MultiTrace`].
 
 use crate::inst::{Inst, Opcode, NO_ADDR, NO_REG};
 use crate::trace::{MultiTrace, ThreadedTraceSink, TraceSink};

@@ -212,7 +212,8 @@ impl<'a> Reader<'a> {
         })
     }
 
-    /// Parses an integer token bounded by [`MAX_COUNT`] (for allocations).
+    /// Parses an integer token of at most 2^24, the format's bound on any
+    /// count (it sizes allocations).
     pub fn count(&mut self, what: &str) -> Result<usize, PersistError> {
         let n = self.int(what)?;
         if n > MAX_COUNT {

@@ -13,7 +13,8 @@
 //! dynamic instruction, so the depths live in flat tables indexed by
 //! register id and by the dense element id of the traffic analyzer, not in
 //! hash maps; one ring of the last 256 completion times serves every
-//! finite window.
+//! finite window. A depth never exceeds the instructions observed, so the
+//! depths are `u32` and a profile holds at most 2^32 − 1 instructions.
 
 use napel_ir::fxhash::FxHashMap;
 use napel_ir::{Inst, Opcode, NO_REG};
@@ -26,7 +27,7 @@ const FINITE: [usize; NUM_WINDOWS - 1] = [32, 64, 128, 256];
 const RING: usize = FINITE[NUM_WINDOWS - 2];
 
 /// Completion depth of one value, per window.
-type Depths = [u64; NUM_WINDOWS];
+type Depths = [u32; NUM_WINDOWS];
 
 /// Streaming ILP analyzer over a dynamic instruction stream.
 #[derive(Debug, Clone)]
@@ -42,9 +43,9 @@ pub struct IlpAnalyzer {
     mem: DepthTable,
     /// Completion times of the last [`RING`] instructions, per finite
     /// window, indexed by instruction number modulo [`RING`].
-    ring: Vec<[u64; NUM_WINDOWS - 1]>,
+    ring: Vec<[u32; NUM_WINDOWS - 1]>,
     /// Latest completion on the unbounded machine.
-    longest: u64,
+    longest: u32,
     total: u64,
 }
 
@@ -77,9 +78,15 @@ impl IlpAnalyzer {
     /// `None` for every other instruction.
     #[inline(always)]
     pub fn observe(&mut self, inst: &Inst, elem: Option<u32>) {
+        // Instruction `i` completes at depth `i + 1` at most, so every depth
+        // fits in `u32` while the count does.
+        assert!(
+            self.total < u64::from(u32::MAX),
+            "ILP analysis holds at most 2^32 - 1 instructions per profile"
+        );
         let i = self.total as usize;
         self.total += 1;
-        let mut ready = [0u64; NUM_WINDOWS];
+        let mut ready = [0u32; NUM_WINDOWS];
         for &r in &inst.srcs {
             if r != NO_REG {
                 max_into(&mut ready, &self.reg(r));
@@ -91,7 +98,7 @@ impl IlpAnalyzer {
         // Finite windows: cannot start before the instruction `w` back has
         // completed (zero before the stream is `w` long: the ring entry is
         // not yet written).
-        let mut done = [0u64; NUM_WINDOWS];
+        let mut done = [0u32; NUM_WINDOWS];
         for (w, size) in FINITE.into_iter().enumerate() {
             let floor = self.ring[i.wrapping_sub(size) % RING][w];
             done[w] = ready[w].max(floor) + 1;
@@ -201,13 +208,13 @@ impl DepthTable {
         self.0[id] = d;
     }
 
-    /// Grows to the next power of two above `id`. The zeroed allocation
-    /// leaves the pages past the ids written so far untouched.
+    /// Grows to the next power of two above `id` in place, so the
+    /// reallocation can extend or remap a large table instead of copying it
+    /// into a second one.
     #[cold]
     fn grow(&mut self, id: usize) {
-        let mut grown = vec![[0; NUM_WINDOWS]; (id + 1).next_power_of_two()];
-        grown[..self.0.len()].copy_from_slice(&self.0);
-        self.0 = grown;
+        self.0
+            .resize((id + 1).next_power_of_two(), [0; NUM_WINDOWS]);
     }
 }
 

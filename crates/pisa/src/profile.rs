@@ -74,8 +74,8 @@ impl ApplicationProfile {
 
     /// Looks up a feature by name, returning `None` if `name` is not a
     /// profile feature — the fallible twin of [`Self::value`], for
-    /// callers (like the campaign runtime) that must turn a
-    /// feature-schema mismatch into an error instead of a panic.
+    /// callers that must turn an unknown name into an error instead of a
+    /// panic.
     pub fn try_value(&self, name: &str) -> Option<f64> {
         let idx = *feature_index().get(name)?;
         self.values.get(idx).copied()

@@ -4,9 +4,9 @@
 //! aliases this crate as `proptest` (see the root `Cargo.toml`). It
 //! implements the surface the NAPEL property tests use: the [`proptest!`]
 //! macro (with optional `#![proptest_config(..)]` header), the
-//! [`Strategy`] trait with `prop_map`/`prop_flat_map`, range and tuple
-//! strategies, [`collection::vec`], [`arbitrary::any`], [`strategy::Just`],
-//! and the `prop_assert*` macros.
+//! [`Strategy`](strategy::Strategy) trait with `prop_map`/`prop_flat_map`,
+//! range and tuple strategies, [`collection::vec`], [`arbitrary::any`],
+//! [`strategy::Just`], and the `prop_assert*` macros.
 //!
 //! Unlike the real crate there is **no shrinking**: a failing case panics
 //! with the generated inputs in the panic message (every strategy value
@@ -245,7 +245,7 @@ pub mod collection {
     use rand::Rng;
     use std::ops::Range;
 
-    /// A length range for [`vec`].
+    /// A length range for [`vec()`].
     #[derive(Debug, Clone)]
     pub struct SizeRange {
         lo: usize,
@@ -281,7 +281,7 @@ pub mod collection {
         }
     }
 
-    /// The strategy returned by [`vec`].
+    /// The strategy returned by [`vec()`].
     #[derive(Debug, Clone)]
     pub struct VecStrategy<S> {
         element: S,

@@ -14,6 +14,9 @@ use crate::protocol::{LineReader, ReadEvent, Response, PROTOCOL_HEADER};
 pub struct ServeClient {
     write_half: TcpStream,
     reader: LineReader<TcpStream>,
+    /// The line being sent plus its newline, reused across sends so each
+    /// line takes one write on the `TCP_NODELAY` socket, not two.
+    out: Vec<u8>,
 }
 
 impl ServeClient {
@@ -32,6 +35,7 @@ impl ServeClient {
         let mut client = ServeClient {
             write_half,
             reader: LineReader::new(stream),
+            out: Vec::new(),
         };
         client.send_line(PROTOCOL_HEADER)?;
         match client.read_response()? {
@@ -50,8 +54,10 @@ impl ServeClient {
     ///
     /// Underlying socket write failures.
     pub fn send_line(&mut self, line: &str) -> io::Result<()> {
-        self.write_half.write_all(line.as_bytes())?;
-        self.write_half.write_all(b"\n")
+        self.out.clear();
+        self.out.extend_from_slice(line.as_bytes());
+        self.out.push(b'\n');
+        self.write_half.write_all(&self.out)
     }
 
     /// Reads the next response line; `None` on orderly EOF.

@@ -19,15 +19,16 @@
 //! 5. **Profiler equivalence** — the observer reproduces, bit for bit, the
 //!    frozen profiler of `crates/pisa/tests/oracle` (a Fenwick tree over
 //!    every timestamp, hash maps keyed by raw addresses and registers) on
-//!    every Table 2 workload's test and level inputs and on random raw
-//!    instruction streams.
+//!    every Table 2 workload's test and level inputs, on random raw
+//!    instruction streams, and on one long thread whose critical path
+//!    crosses several growths of the ILP depth tables.
 
 use napel::core::campaign::{plan_jobs, Serial, Threaded};
 use napel::core::collect::{collect, CollectionPlan};
 use napel::core::fault::CampaignOptions;
 use napel::ir::{
-    EncodedTrace, EncodedTraceSink, Inst, MultiTrace, Opcode, TeeSink, ThreadedTraceSink,
-    TraceSink, NO_ADDR, NO_REG,
+    Emitter, EncodedTrace, EncodedTraceSink, Inst, MultiTrace, Opcode, Reg, TeeSink,
+    ThreadedTraceSink, Trace, TraceSink, NO_ADDR, NO_REG,
 };
 use napel::pisa::{feature_names, ApplicationProfile, ProfileObserver};
 use napel::sim::{ArchConfig, NmcSystem};
@@ -215,6 +216,77 @@ fn observer_matches_the_frozen_profiler_on_heavy_upper_levels() {
             assert_matches_oracle(w, &all_at_level(w, level), &format!("{w} level {level}"));
         }
     }
+}
+
+/// One thread of 321 k instructions whose critical path crosses four
+/// growths of the ILP analyzer's depth tables, alternating between them: a
+/// register written at the start is read once the register table has
+/// doubled, an element stored there is loaded once the element table has
+/// doubled, and so on. The last instructions load an element and read a
+/// register first written at the start. Each hop lies on the only longest
+/// path, so a growth that drops or misplaces an old entry shortens it and
+/// changes `ilp.inf`.
+#[test]
+fn observer_matches_the_frozen_profiler_across_table_growth() {
+    const CHAIN: u32 = 1000;
+    const HOP: u32 = 100;
+    const A: u64 = 0x100;
+    const B: u64 = 0x108;
+
+    /// `n` more links of a dependence chain ending at `v`.
+    fn chain(e: &mut Emitter<&mut Trace>, mut v: Reg, n: u32) -> Reg {
+        for _ in 0..n {
+            v = e.fadd(1, v, v);
+        }
+        v
+    }
+    /// `n` independent values, each stored to an element never touched
+    /// before: one more register id and one more element id apiece.
+    fn fill(e: &mut Emitter<&mut Trace>, next: &mut u64, n: usize) {
+        for _ in 0..n {
+            let f = e.imm(2);
+            e.store(3, *next, 8, f);
+            *next += 8;
+        }
+    }
+
+    let mut trace = MultiTrace::new(1);
+    let mut e = Emitter::new(trace.thread_sink(0));
+    let mut next = 1 << 24;
+    // Depth 1 + CHAIN in `early`, 2 + CHAIN in A; B is written shallow.
+    let v = e.imm(4);
+    let early = chain(&mut e, v, CHAIN);
+    e.store(5, A, 8, early);
+    let z = e.imm(6);
+    e.store(7, B, 8, z);
+    // Ids reach ~21 k, ~41 k, ~81 k and ~161 k in turn: both tables double
+    // in every gap, up to 2^18 entries.
+    fill(&mut e, &mut next, 20_000);
+    let x = e.fadd(8, early, early); // register edge
+    let x = chain(&mut e, x, HOP);
+    e.store(9, B, 8, x);
+    fill(&mut e, &mut next, 20_000);
+    let y = e.load(10, B, 8); // element edge
+    let y = chain(&mut e, y, HOP);
+    fill(&mut e, &mut next, 40_000);
+    let w = e.fadd(11, y, y); // register edge
+    let w = chain(&mut e, w, HOP);
+    e.store(12, A, 8, w);
+    fill(&mut e, &mut next, 80_000);
+    let u = e.load(13, A, 8); // element edge
+    let t = e.fadd(14, u, early);
+    chain(&mut e, t, HOP);
+    drop(e);
+
+    let profile = ApplicationProfile::of(&trace);
+    assert_bit_identical(profile.values(), &oracle::profile(&trace), "table growth");
+    let total = trace.total_insts() as f64;
+    assert!(total >= 300_000.0, "{total} instructions");
+    let longest = f64::from(8 + CHAIN + 4 * HOP);
+    assert_eq!(
+        profile.value("ilp.inf").to_bits(),
+        (total / longest).to_bits()
+    );
 }
 
 /// One raw instruction from a generated script entry: the shapes an
