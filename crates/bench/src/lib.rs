@@ -72,8 +72,8 @@ pub struct Options {
     pub seed: u64,
     /// Figure 4 architecture-configuration count.
     pub configs: usize,
-    /// Campaign worker threads (`--jobs`); `None` defers to `NAPEL_JOBS`.
-    pub jobs: Option<String>,
+    /// Campaign executor (`--jobs`); `None` defers to `NAPEL_JOBS`.
+    pub jobs: Option<AnyExecutor>,
     /// Checkpoint-journal path (`--checkpoint`); `None` defers to
     /// `NAPEL_CHECKPOINT`.
     pub checkpoint: Option<String>,
@@ -150,7 +150,10 @@ impl Options {
                 "--quick" => opts.quick = true,
                 "--seed" => opts.seed = integer(&arg, &value("a value")?)?,
                 "--configs" => opts.configs = integer(&arg, &value("a value")?)?,
-                "--jobs" => opts.jobs = Some(value("a value (N or `auto`)")?),
+                "--jobs" => {
+                    let spec = value("a value (N or `auto`)")?;
+                    opts.jobs = Some(AnyExecutor::parse_spec(&spec)?);
+                }
                 "--checkpoint" => opts.checkpoint = Some(value("a path")?),
                 "--fail-policy" => {
                     let spec = value("a value (fast|quarantine)")?;
@@ -204,10 +207,7 @@ impl Options {
     /// otherwise the `NAPEL_JOBS` environment variable (serial by
     /// default).
     pub fn executor(&self) -> AnyExecutor {
-        match &self.jobs {
-            Some(spec) => AnyExecutor::from_spec(spec),
-            None => AnyExecutor::from_env(),
-        }
+        self.jobs.unwrap_or_else(AnyExecutor::from_env)
     }
 
     /// The supervised-campaign options implied by the flags: starts from
@@ -408,7 +408,7 @@ mod tests {
         assert!(o.quick);
         assert_eq!(o.seed, 7);
         assert_eq!(o.configs, 16);
-        assert_eq!(o.jobs.as_deref(), Some("2"));
+        assert_eq!(o.jobs, Some(AnyExecutor::with_jobs(2)));
         use napel_core::campaign::Executor;
         assert_eq!(o.executor().workers(), 2);
     }
@@ -421,6 +421,8 @@ mod tests {
         assert!(err.contains("--seed must be an integer"), "{err}");
         let err = try_parse(&["--configs"]).unwrap_err();
         assert!(err.contains("--configs needs a value"), "{err}");
+        let err = try_parse(&["--jobs", "banana"]).unwrap_err();
+        assert!(err.contains("jobs spec `banana`"), "{err}");
     }
 
     #[test]

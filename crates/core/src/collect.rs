@@ -103,8 +103,8 @@ pub fn collect<E: Executor>(
 }
 
 /// A small architecture sweep around the Table 3 design, for training the
-/// model's architectural sensitivity (used by the DSE example and the
-/// ablation benches).
+/// model's architectural sensitivity (used by [`evaluation_plan`] and the
+/// DSE example).
 pub fn arch_neighborhood() -> Vec<ArchConfig> {
     let base = ArchConfig::paper_default();
     vec![

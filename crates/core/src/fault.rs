@@ -116,7 +116,7 @@ impl Backoff {
 }
 
 /// Options governing a supervised campaign run: fault policy,
-/// checkpointing, and (for tests and benches) fault injection.
+/// checkpointing, and (for tests) fault injection.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CampaignOptions {
     /// What a job failure does to the batch.
@@ -126,8 +126,7 @@ pub struct CampaignOptions {
     /// present are restored without recomputation — which is what lets a
     /// killed campaign resume. See [`crate::checkpoint`].
     pub checkpoint: Option<PathBuf>,
-    /// Deterministic fault injection (tests and benches only; `None` in
-    /// production).
+    /// Deterministic fault injection (tests only; `None` in production).
     pub injector: Option<FaultInjector>,
 }
 
@@ -319,8 +318,8 @@ impl CampaignReport {
     }
 }
 
-/// Deterministic fault injection for tests and benches: panics and NaN
-/// labels at chosen job indices.
+/// Deterministic fault injection for tests: panics and NaN labels at
+/// chosen job indices.
 ///
 /// Faults are keyed by job index, so an injected campaign is as
 /// deterministic as a clean one — the quarantine

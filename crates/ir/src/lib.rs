@@ -33,7 +33,6 @@ mod emitter;
 pub mod encode;
 pub mod fxhash;
 mod inst;
-pub mod io;
 mod trace;
 
 pub use emitter::Emitter;
