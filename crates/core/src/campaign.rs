@@ -373,7 +373,7 @@ impl AnyExecutor {
     /// single-threaded. Message-keyed dedup means a *different* bad spec
     /// later in the same process warns again (a per-call-site `Once`
     /// would swallow it).
-    pub fn from_spec(spec: &str) -> Self {
+    fn from_spec(spec: &str) -> Self {
         Self::parse_spec(spec).unwrap_or_else(|msg| {
             napel_telemetry::warn_once!("napel: {msg}; falling back to serial execution");
             Self::serial()
@@ -866,7 +866,7 @@ fn execute_job(
     let system = NmcSystem::new(job.arch.clone());
     let shared = point.shared_run(&system.timing_class(point.num_threads));
     // Each worker thread owns one phase-split engine and simulates every
-    // job through it, so frontends, vault queues, the in-flight arena, and
+    // job through it, so frontends, request queues, the in-flight arena, and
     // the DRAM model are reused across a campaign instead of reallocated
     // per job. A panic mid-run is harmless: the engine re-prepares all
     // state at the start of the next run.

@@ -29,8 +29,8 @@
 //!   and [`retarget`](NmcSystem::retarget)s a report simulated on another
 //!   system of the same [`TimingClass`] instead of simulating again,
 //! - [`SimEngine`] — the reusable phase-split engine (per-PE frontends,
-//!   batched per-vault event queues, arena-allocated in-flight loads) for
-//!   callers that simulate many runs and want to reuse its buffers,
+//!   per-PE request queues merged by key, arena-allocated in-flight loads)
+//!   for callers that simulate many runs and want to reuse its buffers,
 //! - [`energy`] — the per-event energy model,
 //! - [`SimReport`] — results.
 //!

@@ -175,6 +175,9 @@ fn telemetry_is_invisible_deterministic_and_complete() {
     );
     assert!(serial_stream.counter("nmc_sim.runs").is_some());
     assert!(serial_stream.counter("nmc_sim.dram.reads").is_some());
+    assert!(serial_stream
+        .counter("nmc_sim.rounds")
+        .is_some_and(|r| r > 0));
     assert!(serial_stream.counter("pisa.instructions").is_some());
 
     // --- 5. The ml layer, via a small training pass. ---
