@@ -308,7 +308,7 @@ impl DramModel {
         self.access_mapped(v, b, row, write, now)
     }
 
-    /// Issues a pre-mapped burst (the engine's per-vault drain path, which
+    /// Issues a pre-mapped burst (the engine's merged drain path, which
     /// has already routed the request with [`DramGeometry::map`]).
     #[inline]
     pub fn access_mapped(

@@ -1,7 +1,7 @@
 //! Differential suite for the phase-split simulation engine.
 //!
 //! The contract under test (DESIGN.md §11): the phase-split engine —
-//! per-PE frontends, batched per-vault event queues, arena-allocated
+//! per-PE frontends, per-PE request queues merged by key, arena-allocated
 //! in-flight loads — is **bit-exact** against the reference globally
 //! interleaved engine. `SimReport: PartialEq` compares every field
 //! (instructions, cycles, cache/DRAM/link counters, all four energy terms,
