@@ -1,7 +1,6 @@
 //! Design-choice ablations: CCD vs LHS vs random sampling, forest size,
-//! feature screening, the atax cache/scratchpad what-if, row policy, the
-//! weighted ensemble vs the plain forest, and the active-DoE
-//! accuracy-vs-budget curve.
+//! feature screening, the atax cache/scratchpad what-if, the offload-cost
+//! sensitivity, row policy, and the active-DoE accuracy-vs-budget curve.
 
 use napel_bench::{exit_with_error, Options};
 use napel_core::experiments::ablation;
@@ -75,12 +74,6 @@ fn run(opts: &Options) -> Result<(), String> {
             better
         );
     }
-
-    napel_telemetry::info!("running the ensemble-vs-forest comparison...");
-    let comparison = ablation::ensemble_vs_forest(&set, opts.seed, &io, &exec)
-        .map_err(|e| format!("ensemble comparison failed: {e}"))?;
-    println!("\nweighted ensemble vs plain forest (LOAO):");
-    print!("{}", ablation::render_ensemble(&comparison));
 
     napel_telemetry::info!("running the accuracy-vs-budget curve...");
     let budgets = opts.budget_list(&[5, 7, 9]);

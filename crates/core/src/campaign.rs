@@ -698,7 +698,9 @@ pub fn plan_jobs(plan: &CollectionPlan) -> Vec<SimJob> {
 /// `catch_unwind`, completed rows must pass the label-validation gate
 /// ([`LabeledRun::validate`]) before they are returned, and a checkpoint
 /// journal — when configured — persists rows as they complete and
-/// restores them on the next run.
+/// restores them on the next run. A journaled row is restored only if it
+/// records the job's own workload and parameters and passes the same
+/// gate; otherwise the job is recomputed.
 ///
 /// Returns the surviving rows in job-index order plus a
 /// [`CampaignReport`] itemizing every job's [`JobOutcome`].
@@ -808,7 +810,7 @@ fn run_one(
     }
     let hash = job.descriptor_hash();
     if let Some(journal) = journal {
-        if let Some(run) = journal.restored(hash) {
+        if let Some(run) = journal.restored(hash).filter(|run| restorable(job, run)) {
             napel_telemetry::counter!("campaign.jobs.restored", 1);
             let _span = span.attr("status", "restored");
             return (outcome(JobStatus::Restored, 0.0), Some(run.clone()), 0.0);
@@ -839,6 +841,17 @@ fn run_one(
     let _span = span.attr("status", "failed");
     let seconds = start.elapsed().as_secs_f64();
     (outcome(JobStatus::Failed(kind), seconds), None, 0.0)
+}
+
+/// Whether a journaled row may stand in for `job`'s computed one: it
+/// must be the job's own work (same workload, same parameter bits) and
+/// pass the label gate every computed row passes. Any other entry is
+/// recomputed, as a stale-schema one is.
+fn restorable(job: &SimJob, run: &LabeledRun) -> bool {
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    run.workload == job.workload
+        && bits(&run.params) == bits(&job.coords)
+        && run.validate(&job.arch).is_ok()
 }
 
 /// A job's actual work: kernel analysis (through the cache), the

@@ -25,7 +25,9 @@
 //! degrades to a shorter valid journal, never to a corrupt one.
 //!
 //! Entries whose feature arity does not match the current schema are
-//! dropped on load (the safe direction: the job is recomputed).
+//! dropped on load (the safe direction: the job is recomputed). The
+//! campaign likewise recomputes a job whose entry records other work or
+//! fails the label gate, e.g. a NaN or out-of-range IPC.
 
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};

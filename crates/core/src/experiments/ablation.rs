@@ -16,10 +16,7 @@
 //!    what-if on the simulator.
 //! 5. **Closed- vs open-row DRAM policy** across the workloads
 //!    ([`row_policy_study`]).
-//! 6. **Does weighting the paper's baselines into the forest help?** The
-//!    adaptive weighted ensemble vs the plain forest at the same LOAO
-//!    protocol ([`ensemble_vs_forest`]).
-//! 7. **Is a fixed CCD the best way to spend the simulation budget?**
+//! 6. **Is a fixed CCD the best way to spend the simulation budget?**
 //!    Accuracy vs points-per-application for a plain CCD prefix against
 //!    CCD-seeded active learning that simulates where the forest's
 //!    per-tree spread is highest ([`budget_curve`]).
@@ -31,7 +28,6 @@ use napel_doe::active::active_augment;
 use napel_doe::samplers::{d_optimal, latin_hypercube, random_design};
 use napel_doe::DesignPoint;
 use napel_ml::dataset::Dataset;
-use napel_ml::ensemble::{EnsembleParams, NUM_MEMBERS};
 use napel_ml::forest::RandomForestParams;
 use napel_ml::log_space::LogOf;
 use napel_ml::tree::{DecisionTreeParams, FeatureSubset};
@@ -188,79 +184,6 @@ pub fn sampler_ablation<E: Executor>(
         rows.push((sampler, p, e));
     }
     Ok(SamplerAblation { rows })
-}
-
-/// The weighted-ensemble configuration under comparison: the fig5 forest
-/// plus the fig5 baselines (ANN, model tree) and a ridge floor as
-/// co-members, in log space like every pipeline estimator.
-pub fn ensemble_estimator() -> LogOf<EnsembleParams> {
-    LogOf(EnsembleParams {
-        forest: super::fig5::napel_estimator(),
-        mlp: super::fig5::ann_estimator(),
-        model_tree: super::fig5::dtree_estimator(),
-        ..EnsembleParams::default()
-    })
-}
-
-/// Result of the ensemble-vs-forest comparison.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EnsembleComparison {
-    /// Plain-forest (perf, energy) average LOAO MRE.
-    pub forest: (f64, f64),
-    /// Weighted-ensemble (perf, energy) average LOAO MRE.
-    pub ensemble: (f64, f64),
-    /// Weights the ensemble adapted to on the full training set, in
-    /// member order (forest, model tree, MLP, ridge).
-    pub weights: [f64; NUM_MEMBERS],
-}
-
-/// Compares the adaptive weighted ensemble against the plain fig5 forest
-/// at the same LOAO protocol and seed, the folds as job batches on
-/// `exec`. Fold models are saved as (or loaded from)
-/// `<dir>/ablation-ens-{forest,weighted}-<workload>.napel` per `io`.
-///
-/// # Errors
-///
-/// Propagates estimator failures; [`crate::NapelError::Artifact`] on
-/// save/load failures or schema mismatches.
-pub fn ensemble_vs_forest<E: Executor>(
-    set: &TrainingSet,
-    seed: u64,
-    io: &ModelIo,
-    exec: &E,
-) -> Result<EnsembleComparison, NapelError> {
-    let forest = loao_accuracy(
-        &LogOf(super::fig5::napel_estimator()),
-        set,
-        seed,
-        io,
-        "ablation-ens-forest",
-        exec,
-    )?;
-    let est = ensemble_estimator();
-    let ens = loao_accuracy(&est, set, seed, io, "ablation-ens-weighted", exec)?;
-    // One fit on the full set to report where the weights landed.
-    let mut rng = StdRng::seed_from_u64(seed);
-    let fitted = est.fit(&set.ipc_dataset()?, &mut rng)?;
-    Ok(EnsembleComparison {
-        forest: average_mre(&forest),
-        ensemble: average_mre(&ens),
-        weights: fitted.inner().weights(),
-    })
-}
-
-/// Renders the ensemble-vs-forest comparison.
-pub fn render_ensemble(c: &EnsembleComparison) -> String {
-    let [wf, wt, wm, wr] = c.weights;
-    format!(
-        "forest    {:.1}% perf / {:.1}% energy MRE\n\
-         ensemble  {:.1}% perf / {:.1}% energy MRE\n\
-         adapted weights (forest, model tree, mlp, ridge): [{wf:.3}, {wt:.3}, {wm:.3}, {wr:.3}]\n",
-        c.forest.0 * 100.0,
-        c.forest.1 * 100.0,
-        c.ensemble.0 * 100.0,
-        c.ensemble.1 * 100.0,
-    )
 }
 
 /// Candidate-pool size per active-learning round: large enough that the
@@ -830,26 +753,6 @@ mod tests {
         // The CI gate is callable with any slack; with infinite slack it
         // must accept.
         assert!(curve.active_no_worse(f64::INFINITY));
-    }
-
-    #[test]
-    fn ensemble_comparison_reports_floored_weights() {
-        let set = collect_with_sampler(
-            &[Workload::Atax, Workload::Gemv],
-            Sampler::Ccd,
-            Scale::tiny(),
-            13,
-            &exec(),
-        )
-        .unwrap();
-        let c = ensemble_vs_forest(&set, 13, &ModelIo::none(), &exec()).unwrap();
-        assert!(c.forest.0.is_finite() && c.ensemble.0.is_finite());
-        assert!(c
-            .weights
-            .iter()
-            .all(|&w| w >= napel_ml::ensemble::DEFAULT_WEIGHT_FLOOR));
-        let s = render_ensemble(&c);
-        assert!(s.contains("adapted weights"));
     }
 
     #[test]

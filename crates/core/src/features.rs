@@ -188,20 +188,6 @@ impl TrainingSet {
             .collect()
     }
 
-    /// Group label (index into [`Workload::ALL`]) per row, for
-    /// leave-one-application-out folds.
-    pub fn groups(&self) -> Vec<usize> {
-        self.runs
-            .iter()
-            .map(|r| {
-                Workload::ALL
-                    .iter()
-                    .position(|w| *w == r.workload)
-                    .expect("known")
-            })
-            .collect()
-    }
-
     /// Rows restricted to the given workloads.
     pub fn filtered(&self, keep: impl Fn(Workload) -> bool) -> TrainingSet {
         TrainingSet {
@@ -240,10 +226,7 @@ impl TrainingSet {
         for r in &self.runs {
             b.push_row(r.features.clone(), label(r))?;
         }
-        // Carry the per-row application label so group-aware estimators
-        // (the weighted ensemble) can adapt on leave-one-application-out
-        // folds, matching the evaluation protocol.
-        Ok(b.build()?.with_groups(self.groups())?)
+        Ok(b.build()?)
     }
 
     /// FNV-1a content hash over the feature schema and every row
@@ -409,7 +392,6 @@ mod tests {
         assert_eq!(d.target(0), set.runs[0].ipc);
         let e = set.energy_dataset().unwrap();
         assert_eq!(e.target(1), set.runs[1].energy_per_inst_pj);
-        assert_eq!(set.groups(), vec![0, 1]);
         assert_eq!(set.workloads(), vec![Workload::Atax, Workload::Bfs]);
     }
 

@@ -243,18 +243,6 @@ impl TrainedNapel {
         self.perf_tune.as_ref()
     }
 
-    /// Winning hyper-parameters and CV score for the energy model, if
-    /// tuning ran.
-    pub fn energy_tuning(&self) -> Option<&(String, f64)> {
-        self.energy_tune.as_ref()
-    }
-
-    /// The underlying IPC forest (exposed for importance analyses; note it
-    /// is fitted on log-IPC).
-    pub fn perf_forest(&self) -> &RandomForest {
-        self.perf.inner()
-    }
-
     /// Training provenance: seed, grid, workload set, and the content hash
     /// of the training data.
     pub fn provenance(&self) -> &Provenance {

@@ -207,11 +207,6 @@ impl ParamDef {
         self.levels[level.index()]
     }
 
-    /// Whether the parameter is integer-valued.
-    pub fn is_integer(&self) -> bool {
-        self.integer
-    }
-
     /// Clamps and (for integer parameters) rounds a raw coordinate into the
     /// parameter's valid range `[minimum, maximum]`.
     pub fn sanitize(&self, raw: f64) -> f64 {

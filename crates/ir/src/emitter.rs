@@ -124,12 +124,6 @@ impl<S: TraceSink> Emitter<S> {
         self.binop(pc, Opcode::IntAlu, a, b)
     }
 
-    /// Integer add with a single register operand (reg + immediate).
-    #[inline]
-    pub fn iadd_imm(&mut self, pc: u32, a: Reg) -> Reg {
-        self.unop(pc, Opcode::IntAlu, a)
-    }
-
     /// Integer multiply.
     #[inline]
     pub fn imul(&mut self, pc: u32, a: Reg, b: Reg) -> Reg {

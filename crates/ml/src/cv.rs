@@ -4,8 +4,8 @@
 //! of the cross-validation process as hyper-parameter combinations",
 //! compares the generated models, and keeps the best — i.e. grid search with
 //! cross-validated scoring, implemented here by [`GridSearch`]. The
-//! accuracy analysis (Section 3.3) uses *leave-one-application-out* folds,
-//! provided by [`leave_one_group_out`].
+//! accuracy analysis (Section 3.3) holds out one application at a time;
+//! `napel_core::analysis` splits its training set by workload for that.
 
 use rand::Rng;
 use rand::RngCore;
@@ -50,34 +50,6 @@ pub fn k_fold<R: Rng + ?Sized>(n: usize, k: usize, rng: &mut R) -> Result<Vec<Fo
         folds.push(Fold { train, test });
     }
     Ok(folds)
-}
-
-/// Leave-one-group-out folds: one fold per distinct group label, testing on
-/// that group and training on all others. This is exactly the paper's
-/// "training data comprises all the collected data for all applications
-/// *except* the application for which the prediction will be made".
-///
-/// # Errors
-///
-/// Returns [`MlError::NotEnoughSamples`] if there are fewer than two groups.
-pub fn leave_one_group_out(groups: &[usize]) -> Result<Vec<Fold>, MlError> {
-    let mut distinct: Vec<usize> = groups.to_vec();
-    distinct.sort_unstable();
-    distinct.dedup();
-    if distinct.len() < 2 {
-        return Err(MlError::NotEnoughSamples {
-            needed: 2,
-            available: distinct.len(),
-        });
-    }
-    Ok(distinct
-        .into_iter()
-        .map(|g| {
-            let (test, train): (Vec<usize>, Vec<usize>) =
-                (0..groups.len()).partition(|&i| groups[i] == g);
-            Fold { train, test }
-        })
-        .collect())
 }
 
 /// Cross-validated mean relative error of `estimator` over `folds`.
@@ -256,28 +228,6 @@ mod tests {
     fn k_fold_rejects_tiny_inputs() {
         assert!(k_fold(1, 2, &mut rng()).is_err());
         assert!(k_fold(10, 1, &mut rng()).is_err());
-    }
-
-    #[test]
-    fn logo_isolates_each_group() {
-        let groups = [0, 0, 1, 1, 2, 2, 2];
-        let folds = leave_one_group_out(&groups).unwrap();
-        assert_eq!(folds.len(), 3);
-        for f in &folds {
-            let test_groups: std::collections::HashSet<usize> =
-                f.test.iter().map(|&i| groups[i]).collect();
-            assert_eq!(test_groups.len(), 1, "test side must be a single group");
-            let g = *test_groups.iter().next().unwrap();
-            assert!(
-                f.train.iter().all(|&i| groups[i] != g),
-                "group {g} leaked into train"
-            );
-        }
-    }
-
-    #[test]
-    fn logo_needs_two_groups() {
-        assert!(leave_one_group_out(&[3, 3, 3]).is_err());
     }
 
     #[test]

@@ -26,7 +26,6 @@ pub struct Dataset {
     x: Vec<f64>,
     y: Vec<f64>,
     d: usize,
-    groups: Option<Vec<usize>>,
 }
 
 impl Dataset {
@@ -38,7 +37,6 @@ impl Dataset {
                 features,
                 x: Vec::new(),
                 y: Vec::new(),
-                groups: None,
             },
         }
     }
@@ -88,31 +86,6 @@ impl Dataset {
         &self.y
     }
 
-    /// Per-row group labels, if any (see [`Dataset::with_groups`]).
-    pub fn groups(&self) -> Option<&[usize]> {
-        self.groups.as_deref()
-    }
-
-    /// Attaches a group label to every row — e.g. which application a
-    /// training row came from. Estimators that validate across
-    /// distribution shifts (the ensemble's weight adaptation) use the
-    /// labels for leave-one-group-out folds; everything else ignores them.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MlError::FeatureMismatch`] if `groups.len()` differs from
-    /// the row count.
-    pub fn with_groups(mut self, groups: Vec<usize>) -> Result<Dataset, MlError> {
-        if groups.len() != self.len() {
-            return Err(MlError::FeatureMismatch {
-                expected: self.len(),
-                got: groups.len(),
-            });
-        }
-        self.groups = Some(groups);
-        Ok(self)
-    }
-
     /// A new dataset containing the given rows (duplicates allowed, as in
     /// bootstrap resampling).
     ///
@@ -131,10 +104,6 @@ impl Dataset {
             x,
             y,
             d: self.d,
-            groups: self
-                .groups
-                .as_ref()
-                .map(|g| indices.iter().map(|&i| g[i]).collect()),
         }
     }
 
@@ -295,24 +264,6 @@ mod tests {
         assert_eq!(s.target(0), 300.0);
         assert_eq!(s.target(1), 300.0);
         assert_eq!(s.target(2), 100.0);
-    }
-
-    #[test]
-    fn groups_attach_validate_and_survive_subsetting() {
-        assert_eq!(sample().groups(), None);
-        let d = sample().with_groups(vec![7, 7, 9]).unwrap();
-        assert_eq!(d.groups(), Some(&[7, 7, 9][..]));
-        let s = d.subset(&[2, 0]);
-        assert_eq!(s.groups(), Some(&[9, 7][..]));
-
-        let err = sample().with_groups(vec![1]).unwrap_err();
-        assert_eq!(
-            err,
-            MlError::FeatureMismatch {
-                expected: 3,
-                got: 1
-            }
-        );
     }
 
     #[test]

@@ -13,10 +13,8 @@
 //! - [`mlp::Mlp`] — multilayer perceptron with SGD + momentum,
 //! - [`model_tree::ModelTree`] — decision tree with ridge-regression leaves,
 //! - [`linear::Ridge`] — ridge regression via normal equations,
-//! - [`cv`] — k-fold and leave-one-group-out cross-validation plus grid
-//!   hyper-parameter search (the paper's "train + tune" phase),
-//! - [`ensemble::WeightedEnsemble`] — adaptive weighted voting over all
-//!   four families, with EMA weight learning and a minimum-weight floor,
+//! - [`cv`] — k-fold cross-validation plus grid hyper-parameter search
+//!   (the paper's "train + tune" phase),
 //! - [`log_space::LogOf`] — log-target wrapper aligning the estimators'
 //!   squared-error objective with the paper's relative-error metric,
 //! - [`metrics`] — mean relative error (Equation 1 of the paper), MAE,
@@ -52,7 +50,6 @@
 
 pub mod cv;
 pub mod dataset;
-pub mod ensemble;
 mod error;
 pub mod forest;
 pub mod linalg;

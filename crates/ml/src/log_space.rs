@@ -55,13 +55,7 @@ impl<E: Estimator> Estimator for LogOf<E> {
         for i in 0..data.len() {
             b.push_row(data.row(i).to_vec(), data.target(i).max(FLOOR).ln())?;
         }
-        let mut logged = b.build()?;
-        // Group labels are orthogonal to the target transform; keep them
-        // so group-aware inner estimators (the ensemble) still see them.
-        if let Some(groups) = data.groups() {
-            logged = logged.with_groups(groups.to_vec())?;
-        }
-        let inner = self.0.fit(&logged, rng)?;
+        let inner = self.0.fit(&b.build()?, rng)?;
         Ok(LogModel { inner })
     }
 

@@ -22,6 +22,9 @@
 //!   corrupt or truncated document fails with a typed [`PersistError`]
 //!   instead of mispredicting or looping forever.
 //!
+//! A kind this build does not implement, such as the weighted `ensemble`
+//! earlier versions wrote, decodes to [`PersistError::UnknownKind`].
+//!
 //! The format is plain whitespace-separated tokens (hand-rolled, zero-dep,
 //! like the telemetry crate's JSONL): human-greppable, trivially stable.
 //!
@@ -49,7 +52,6 @@
 use std::error::Error;
 use std::fmt;
 
-use crate::ensemble::{WeightedEnsemble, NUM_MEMBERS};
 use crate::forest::RandomForest;
 use crate::linear::Ridge;
 use crate::log_space::LogModel;
@@ -190,18 +192,6 @@ impl<'a> Reader<'a> {
         self.toks.next().ok_or_else(|| PersistError::Corrupt {
             what: format!("document ends where {what} was expected"),
         })
-    }
-
-    /// Consumes a token that must equal `lit`.
-    pub fn expect(&mut self, lit: &str) -> Result<(), PersistError> {
-        let t = self.tok(lit)?;
-        if t == lit {
-            Ok(())
-        } else {
-            Err(PersistError::Corrupt {
-                what: format!("expected `{lit}`, found `{t}`"),
-            })
-        }
     }
 
     /// Parses an integer token.
@@ -366,7 +356,6 @@ impl_predictor!(RandomForest);
 impl_predictor!(Ridge);
 impl_predictor!(Mlp);
 impl_predictor!(ModelTree);
-impl_predictor!(WeightedEnsemble);
 
 impl<M: Predictor + Persist> Predictor for LogModel<M> {
     fn model_kind(&self) -> String {
@@ -427,7 +416,6 @@ pub fn decode_any(text: &str) -> Result<Box<dyn Predictor + Send + Sync>, Persis
         Ridge::KIND => Box::new(Ridge::read_payload(&mut r)?),
         Mlp::KIND => Box::new(Mlp::read_payload(&mut r)?),
         ModelTree::KIND => Box::new(ModelTree::read_payload(&mut r)?),
-        WeightedEnsemble::KIND => Box::new(WeightedEnsemble::read_payload(&mut r)?),
         "log" => {
             let inner = r.tok("log-wrapped model kind")?;
             match inner {
@@ -436,9 +424,6 @@ pub fn decode_any(text: &str) -> Result<Box<dyn Predictor + Send + Sync>, Persis
                 Ridge::KIND => Box::new(LogModel::new(Ridge::read_payload(&mut r)?)),
                 Mlp::KIND => Box::new(LogModel::new(Mlp::read_payload(&mut r)?)),
                 ModelTree::KIND => Box::new(LogModel::new(ModelTree::read_payload(&mut r)?)),
-                WeightedEnsemble::KIND => {
-                    Box::new(LogModel::new(WeightedEnsemble::read_payload(&mut r)?))
-                }
                 // No estimator produces a doubly-wrapped log model; a
                 // document claiming one is damaged, not merely foreign.
                 "log" => {
@@ -842,70 +827,6 @@ impl Persist for ModelTree {
     }
 }
 
-impl Persist for WeightedEnsemble {
-    const KIND: &'static str = "ensemble";
-
-    fn write_payload(&self, w: &mut Writer) {
-        w.int(self.num_features());
-        for weight in self.weights() {
-            w.float(weight);
-        }
-        // Each member payload is prefixed by its own kind token, so a
-        // reordered or truncated document fails on the token, not deep
-        // inside the wrong member's structure.
-        w.tok(RandomForest::KIND);
-        self.forest().write_payload(w);
-        w.tok(ModelTree::KIND);
-        self.model_tree().write_payload(w);
-        w.tok(Mlp::KIND);
-        self.mlp().write_payload(w);
-        w.tok(Ridge::KIND);
-        self.ridge().write_payload(w);
-    }
-
-    fn read_payload(r: &mut Reader) -> Result<Self, PersistError> {
-        let num_features = r.count("ensemble feature count")?;
-        let mut weights = [0.0; NUM_MEMBERS];
-        for (i, slot) in weights.iter_mut().enumerate() {
-            let w = r.float("ensemble weight")?;
-            if !w.is_finite() || w <= 0.0 {
-                return Err(PersistError::Corrupt {
-                    what: format!("ensemble weight {i} ({w}) is not positive and finite"),
-                });
-            }
-            *slot = w;
-        }
-        r.expect(RandomForest::KIND)?;
-        let forest = RandomForest::read_payload(r)?;
-        r.expect(ModelTree::KIND)?;
-        let model_tree = ModelTree::read_payload(r)?;
-        r.expect(Mlp::KIND)?;
-        let mlp = Mlp::read_payload(r)?;
-        r.expect(Ridge::KIND)?;
-        let ridge = Ridge::read_payload(r)?;
-        for (name, got) in [
-            ("forest", forest.num_features()),
-            ("model tree", model_tree.num_features()),
-            ("mlp", mlp.num_features()),
-            ("ridge", ridge.num_features()),
-        ] {
-            if got != num_features {
-                return Err(PersistError::Corrupt {
-                    what: format!("{name} member has {got} features, ensemble has {num_features}"),
-                });
-            }
-        }
-        Ok(WeightedEnsemble::from_parts(
-            forest,
-            model_tree,
-            mlp,
-            ridge,
-            weights,
-            num_features,
-        ))
-    }
-}
-
 impl<M: Persist + Regressor> Persist for LogModel<M> {
     const KIND: &'static str = "log";
 
@@ -1024,66 +945,6 @@ mod tests {
         assert_round_trip(&m, &d);
     }
 
-    fn quick_ensemble_params() -> crate::ensemble::EnsembleParams {
-        crate::ensemble::EnsembleParams {
-            forest: RandomForestParams {
-                num_trees: 6,
-                ..Default::default()
-            },
-            mlp: MlpParams {
-                epochs: 20,
-                ..Default::default()
-            },
-            ..Default::default()
-        }
-    }
-
-    #[test]
-    fn ensemble_round_trip_preserves_weights() {
-        let d = data();
-        let m = quick_ensemble_params().fit(&d, &mut rng()).unwrap();
-        assert_round_trip(&m, &d);
-        let back: WeightedEnsemble = decode(&encode(&m)).unwrap();
-        for (a, b) in m.weights().iter().zip(back.weights()) {
-            assert_eq!(a.to_bits(), b.to_bits(), "weight drifted through persist");
-        }
-    }
-
-    #[test]
-    fn log_wrapped_ensemble_round_trip() {
-        let d = data();
-        let m = LogOf(quick_ensemble_params()).fit(&d, &mut rng()).unwrap();
-        assert_round_trip(&m, &d);
-        let any = decode_any(&encode(&m)).unwrap();
-        assert_eq!(any.model_kind(), "log(ensemble)");
-        assert_eq!(
-            any.predict_one(d.row(4)).to_bits(),
-            m.predict_one(d.row(4)).to_bits()
-        );
-        assert_eq!(any.encode_model(), encode(&m));
-    }
-
-    #[test]
-    fn ensemble_decode_rejects_bad_weights_and_member_order() {
-        let d = data();
-        let m = quick_ensemble_params().fit(&d, &mut rng()).unwrap();
-        let text = encode(&m);
-        // Corrupt the first weight into a NaN bit pattern.
-        let w0 = format!("{:016x}", m.weights()[0].to_bits());
-        let nan = format!("{:016x}", f64::NAN.to_bits());
-        let bad = text.replacen(&w0, &nan, 1);
-        assert!(matches!(
-            decode::<WeightedEnsemble>(&bad).unwrap_err(),
-            PersistError::Corrupt { .. }
-        ));
-        // Swap the first member's kind token: fails on the token itself.
-        let bad = text.replacen(" forest ", " mlp ", 1);
-        assert!(matches!(
-            decode::<WeightedEnsemble>(&bad).unwrap_err(),
-            PersistError::Corrupt { .. }
-        ));
-    }
-
     #[test]
     fn log_wrapped_round_trip() {
         let d = data();
@@ -1193,13 +1054,21 @@ mod tests {
 
     #[test]
     fn unknown_kind_is_typed() {
-        let text = format!("{FORMAT} v{VERSION} blob 1 2 3\n");
-        assert_eq!(
-            decode_any(&text).unwrap_err(),
-            PersistError::UnknownKind {
-                kind: "blob".to_string()
-            }
-        );
+        // `ensemble` and `log ensemble` are kinds earlier builds wrote
+        // (the retired weighted ensemble); they now read as foreign too.
+        for (payload, kind) in [
+            ("blob 1 2 3", "blob"),
+            ("ensemble 2 3ff0000000000000 forest", "ensemble"),
+            ("log ensemble 2 3ff0000000000000 forest", "log(ensemble)"),
+        ] {
+            let text = format!("{FORMAT} v{VERSION} {payload}\n");
+            assert_eq!(
+                decode_any(&text).unwrap_err(),
+                PersistError::UnknownKind {
+                    kind: kind.to_string()
+                }
+            );
+        }
     }
 
     #[test]

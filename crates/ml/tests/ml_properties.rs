@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 
-use napel_ml::cv::{k_fold, leave_one_group_out};
+use napel_ml::cv::k_fold;
 use napel_ml::dataset::Dataset;
 use napel_ml::forest::RandomForestParams;
 use napel_ml::metrics::{mean_absolute_error, mean_relative_error, root_mean_squared_error};
@@ -79,21 +79,6 @@ proptest! {
             prop_assert!(f.test.iter().all(|i| !train.contains(i)));
         }
         prop_assert!(covered.iter().all(|&c| c == 1));
-    }
-
-    #[test]
-    fn logo_never_leaks_the_held_out_group(groups in prop::collection::vec(0usize..5, 4..60)) {
-        let distinct: std::collections::HashSet<usize> = groups.iter().copied().collect();
-        prop_assume!(distinct.len() >= 2);
-        let folds = leave_one_group_out(&groups).expect("valid");
-        prop_assert_eq!(folds.len(), distinct.len());
-        for f in &folds {
-            let test_groups: std::collections::HashSet<usize> =
-                f.test.iter().map(|&i| groups[i]).collect();
-            prop_assert_eq!(test_groups.len(), 1);
-            let g = *test_groups.iter().next().expect("one");
-            prop_assert!(f.train.iter().all(|&i| groups[i] != g));
-        }
     }
 
     #[test]

@@ -49,15 +49,6 @@ impl DramStats {
     pub fn accesses(&self) -> u64 {
         self.reads + self.writes
     }
-
-    /// Row-buffer hit ratio over all accesses.
-    pub fn row_hit_ratio(&self) -> f64 {
-        if self.accesses() == 0 {
-            0.0
-        } else {
-            self.row_hits as f64 / self.accesses() as f64
-        }
-    }
 }
 
 /// Immutable address-mapping geometry, computed and validated once at

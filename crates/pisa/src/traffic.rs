@@ -107,11 +107,6 @@ impl TrafficAnalyzer {
         traffic(self.writes.histogram(), bucket)
     }
 
-    /// Fraction of all accesses that would miss such a cache.
-    pub fn combined_traffic(&self, bucket: usize) -> f64 {
-        traffic(self.all.histogram(), bucket)
-    }
-
     /// Distinct keys touched (footprint in granules) across reads+writes.
     pub fn footprint_granules(&self) -> usize {
         self.all.distinct()

@@ -206,17 +206,6 @@ impl LogHistogram {
         self.sum += other.sum;
     }
 
-    /// The non-empty buckets as `(upper_edge, count)` pairs in
-    /// increasing-edge order — the sparse form used by the JSONL sink and
-    /// the Prometheus renderer (cumulation happens there).
-    pub fn nonzero_buckets(&self) -> impl Iterator<Item = (f64, u64)> + '_ {
-        self.counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (Self::lower_edge(i + 1), c))
-    }
-
     /// Rebuilds a histogram from the sparse `(bucket_index, count)` form
     /// (the JSONL reader). Inverse of
     /// [`sparse_counts`](LogHistogram::sparse_counts).

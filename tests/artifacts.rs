@@ -4,9 +4,7 @@
 
 use std::path::{Path, PathBuf};
 
-use napel::core::artifact::{
-    read_artifacts, write_artifacts, ModelArtifact, ModelIo, Provenance, TargetKind,
-};
+use napel::core::artifact::{read_artifacts, ModelArtifact, ModelIo, Provenance, TargetKind};
 use napel::core::campaign::{AnyExecutor, Serial};
 use napel::core::collect::CollectionPlan;
 use napel::core::experiments::{fig4, fig5, Context};
@@ -14,10 +12,9 @@ use napel::core::fault::CampaignOptions;
 use napel::core::features::TrainingSet;
 use napel::core::model::{Napel, NapelConfig, TrainedNapel};
 use napel::core::NapelError;
-use napel::ml::ensemble::{EnsembleParams, WeightedEnsemble, NUM_MEMBERS};
 use napel::ml::forest::RandomForestParams;
 use napel::ml::linear::RidgeParams;
-use napel::ml::log_space::{LogModel, LogOf};
+use napel::ml::log_space::LogOf;
 use napel::ml::mlp::MlpParams;
 use napel::ml::model_tree::ModelTreeParams;
 use napel::ml::persist::Predictor;
@@ -53,37 +50,6 @@ fn tiny_context(seed: u64) -> Context {
     Context::build(&tiny_plan(), seed, &AnyExecutor::from_env(), &opts)
         .expect("clean campaign")
         .0
-}
-
-/// A small-but-real ensemble configuration so the four-member fits stay
-/// fast in the integration suite.
-fn quick_ensemble() -> EnsembleParams {
-    EnsembleParams {
-        forest: RandomForestParams {
-            num_trees: 8,
-            ..Default::default()
-        },
-        mlp: MlpParams {
-            hidden: vec![6],
-            epochs: 25,
-            ..Default::default()
-        },
-        ..Default::default()
-    }
-}
-
-fn provenance(set: &TrainingSet, seed: u64, grid: String) -> Provenance {
-    Provenance {
-        seed,
-        grid: vec![grid],
-        workloads: set
-            .workloads()
-            .iter()
-            .map(|w| w.name().to_string())
-            .collect(),
-        training_rows: set.runs.len(),
-        training_hash: set.content_hash(),
-    }
 }
 
 /// Fits one estimator, round-trips it through a saved artifact, and
@@ -156,134 +122,10 @@ fn every_estimator_family_round_trips_bit_identically() {
     assert_family_round_trips(&ModelTreeParams::default(), &set, &dir);
     assert_family_round_trips(&mlp, &set, &dir);
     assert_family_round_trips(&RidgeParams::default(), &set, &dir);
-    assert_family_round_trips(&quick_ensemble(), &set, &dir);
     // The log-space wrappers the pipeline actually trains.
     assert_family_round_trips(&LogOf(forest), &set, &dir);
     assert_family_round_trips(&LogOf(ModelTreeParams::default()), &set, &dir);
-    assert_family_round_trips(&LogOf(quick_ensemble()), &set, &dir);
 
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn ensemble_bundle_round_trips_byte_identically() {
-    // The `.napel` bundle layer (two artifact documents, IPC then energy)
-    // must carry the ensemble losslessly: re-encoding the parsed bundle
-    // reproduces the original documents byte for byte, and the decoded
-    // models keep the adapted weights and predict bit-identically.
-    let set = tiny_set();
-    let est = LogOf(quick_ensemble());
-    let mut rng = StdRng::seed_from_u64(23);
-    let ipc = est
-        .fit(&set.ipc_dataset().expect("ipc data"), &mut rng)
-        .expect("fit ipc");
-    let energy = est
-        .fit(&set.energy_dataset().expect("energy data"), &mut rng)
-        .expect("fit energy");
-
-    let a_ipc = ModelArtifact::from_predictor(
-        TargetKind::Ipc,
-        set.feature_names.clone(),
-        provenance(&set, 23, est.describe()),
-        None,
-        &ipc,
-    )
-    .expect("ipc artifact");
-    let a_energy = ModelArtifact::from_predictor(
-        TargetKind::EnergyPerInst,
-        set.feature_names.clone(),
-        provenance(&set, 23, est.describe()),
-        None,
-        &energy,
-    )
-    .expect("energy artifact");
-
-    let dir = scratch_dir("ensemble-bundle");
-    let path = dir.join("ensemble.napel");
-    write_artifacts(&path, &[&a_ipc, &a_energy]).expect("write bundle");
-
-    let loaded = read_artifacts(&path).expect("read bundle");
-    assert_eq!(loaded.len(), 2);
-    assert_eq!(
-        loaded[0].to_document(),
-        a_ipc.to_document(),
-        "re-encoded IPC document must be byte-identical"
-    );
-    assert_eq!(
-        loaded[1].to_document(),
-        a_energy.to_document(),
-        "re-encoded energy document must be byte-identical"
-    );
-
-    let decoded: LogModel<WeightedEnsemble> = loaded[0].decode_payload().expect("decode ipc");
-    assert_eq!(decoded.inner().weights(), ipc.inner().weights());
-    for run in &set.runs {
-        assert_eq!(
-            ipc.predict_one(&run.features).to_bits(),
-            decoded.predict_one(&run.features).to_bits(),
-            "ensemble prediction must survive the bundle round trip bit for bit"
-        );
-    }
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn ensemble_weights_resume_across_training_sessions() {
-    // Adapted weights persisted by one session seed the next: a second
-    // training session resuming from the stored weights starts where the
-    // first ended, instead of resetting to equal weights.
-    let set = tiny_set();
-    let data = set.ipc_dataset().expect("ipc data");
-    let session1 = LogOf(quick_ensemble())
-        .fit(&data, &mut StdRng::seed_from_u64(5))
-        .expect("session 1");
-
-    let dir = scratch_dir("ensemble-resume");
-    let path = dir.join("session1.model");
-    ModelArtifact::from_predictor(
-        TargetKind::Ipc,
-        set.feature_names.clone(),
-        provenance(&set, 5, "ensemble session 1".into()),
-        None,
-        &session1,
-    )
-    .expect("artifact")
-    .save(&path)
-    .expect("save");
-
-    let prior = ModelArtifact::load(&path)
-        .expect("load")
-        .decode_payload::<LogModel<WeightedEnsemble>>()
-        .expect("decode")
-        .inner()
-        .weights();
-    assert_eq!(prior, session1.inner().weights());
-
-    // A short follow-up session (one EMA step) barely moves the weights,
-    // so where it lands is dominated by where it started.
-    let short = EnsembleParams {
-        adaptation_passes: 1,
-        ..quick_ensemble()
-    };
-    let resumed = LogOf(short.clone().with_prior_weights(prior))
-        .fit(&data, &mut StdRng::seed_from_u64(6))
-        .expect("resumed session");
-    let fresh = LogOf(short)
-        .fit(&data, &mut StdRng::seed_from_u64(6))
-        .expect("fresh session");
-
-    assert_ne!(
-        resumed.inner().weights(),
-        fresh.inner().weights(),
-        "resuming must start from the persisted weights, not reset"
-    );
-    let dist = |a: [f64; NUM_MEMBERS], b: [f64; NUM_MEMBERS]| -> f64 {
-        a.iter().zip(&b).map(|(x, y)| (x - y).powi(2)).sum()
-    };
-    assert!(
-        dist(resumed.inner().weights(), prior) < dist(fresh.inner().weights(), prior),
-        "the resumed session must stay closer to the persisted weights"
-    );
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -142,6 +142,51 @@ fn interrupted_campaign_resumes_recomputing_only_the_tail() {
 }
 
 #[test]
+fn journaled_rows_that_fail_the_label_gate_are_recomputed() {
+    // A journal line can be well formed, sentinel intact, and still carry
+    // a label no simulation produces. Restoring it would train on it, so
+    // such a row is recomputed like a stale-schema entry.
+    let plan = CollectionPlan {
+        workloads: vec![Workload::Atax],
+        scale: Scale::tiny(),
+        ..Default::default()
+    };
+    let jobs = plan_jobs(&plan).len();
+    assert_eq!(jobs, 9);
+    let (clean, _) = collect(&plan, &Serial, &CampaignOptions::default()).unwrap();
+
+    let path = journal_path("gate");
+    let opts = CampaignOptions::default().with_checkpoint(&path);
+    collect(&plan, &Serial, &opts).unwrap();
+
+    // Rewrite the IPC of two entries (third token from the end, before
+    // the energy label and the `ok` sentinel): NaN in one, 1e9, far above
+    // issue_width × num_pes, in the other.
+    let text = std::fs::read_to_string(&path).unwrap();
+    let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
+    assert_eq!(lines.len(), jobs);
+    for (line, ipc) in [(2, f64::NAN), (6, 1e9)] {
+        let mut tokens: Vec<String> = lines[line]
+            .split_ascii_whitespace()
+            .map(str::to_string)
+            .collect();
+        let at = tokens.len() - 3;
+        tokens[at] = format!("{:016x}", ipc.to_bits());
+        assert_eq!(tokens.last().map(String::as_str), Some("ok"));
+        lines[line] = tokens.join(" ");
+    }
+    std::fs::write(&path, lines.join("\n") + "\n").unwrap();
+
+    let (set, report) = collect(&plan, &Serial, &opts).unwrap();
+    assert_eq!(report.restored, jobs - 2);
+    assert_eq!(report.executed(), 2);
+    assert!(report.is_clean());
+    assert_eq!(set.runs, clean.runs, "recomputed rows replace the bad ones");
+
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
 fn checkpointed_threaded_run_restores_under_serial_and_vice_versa() {
     // The journal is keyed by job descriptor, not by position or
     // executor, so a campaign checkpointed under one executor resumes
